@@ -24,7 +24,6 @@ package core
 import (
 	"errors"
 
-	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -49,6 +48,10 @@ type uop struct {
 	seq   uint64
 	ef    emu.Effect
 	class isa.Class
+	// dest/hasDest cache the decoded destination register, so commit and
+	// the rename rebuild after a squash never re-decode the instruction.
+	dest    isa.Reg
+	hasDest bool
 
 	// dep are the producers of the source operands (nil when the operand
 	// was ready at dispatch). For memory instructions dep[0] is the base
@@ -380,25 +383,11 @@ type Core struct {
 	// dispatches; it delimits stack frames for fast data forwarding.
 	spGen uint64
 
-	// regionPredictor is the 1-bit per-PC predictor used for unhinted
-	// accesses under SteerHint (paper §2.2.3).
-	regionPredictor map[uint32]bool // true = local
-
-	// staticClass is the per-PC classification table produced by the
-	// internal/analysis dataflow pass, consulted under SteerStatic.
-	// Absent entries are ambiguous and fall back to the predictor.
-	staticClass map[uint32]isa.Hint
-
-	// specClass is the per-PC confidence table produced by the
-	// analysis.Assign pass, consulted under SteerSpec. Absent entries are
-	// leave-dynamic and fall back to the predictor.
-	specClass map[uint32]analysis.ConfClass
-
-	// fwdPairs (load PC → store PC) and combineGroups (member PC → group
-	// id) are the statically-proven tables from the interprocedural
-	// dependence analysis, populated under ForwardStatic/CombineStatic.
-	fwdPairs      map[uint32]uint32
-	combineGroups map[uint32]int
+	// text is the decode table: one pre-decoded entry per instruction of
+	// the program's text segment, indexed by (pc - textBase) / InstBytes
+	// (see decode.go).
+	text     []decoded
+	textBase uint32
 
 	// annotTLB, when non-nil, is the §2.1 annotation TLB: steering
 	// verification waits for its fill on a miss.
@@ -413,16 +402,17 @@ type Core struct {
 
 	dispatchStallUntil uint64
 	fetchDone          bool // emulator halted or instruction budget reached
-	// pending is the effect held back by a full queue (hasPending gates
-	// it; a value rather than a pointer so re-parking never allocates).
-	pending    emu.Effect
-	hasPending bool
-	// replay holds the effects of squashed (wrong-stream recovery)
-	// instructions awaiting re-dispatch, as a ring deque (squash prepends
-	// a batch, dispatch pops the front); the emulator is never re-run.
-	replay     []emu.Effect
-	replayHead int
-	replayN    int
+	// fetchQ is the fetch deque: the architectural effects fetched but
+	// not yet dispatched, oldest first, as a power-of-two ring. Dispatch
+	// reads the front in place and pops it only when the instruction
+	// dispatches, so a stalled effect simply stays at the front; a
+	// misroute squash prepends the squashed window (the emulator is never
+	// re-run); an empty deque is refilled in place by the emulator.
+	// Every undispatched effect lives here, so program order holds by
+	// construction.
+	fetchQ    []emu.Effect
+	fetchHead int
+	fetchN    int
 
 	stats Stats
 }
@@ -488,30 +478,56 @@ func (c *Core) flushROBOcc() {
 	}
 }
 
-// ------------------------------------------------------- replay deque
+// -------------------------------------------------------- fetch deque
 
-func (c *Core) replayPopFront() emu.Effect {
-	ef := c.replay[c.replayHead]
-	c.replayHead = (c.replayHead + 1) & (len(c.replay) - 1)
-	c.replayN--
+// fetchFront returns the oldest effect awaiting dispatch, in place. An
+// empty deque is refilled from the emulator, which writes the effect
+// straight into the ring slot. It returns nil once fetch has ended (the
+// emulator halted with nothing left to replay, or faulted).
+//
+// Progress accounting: reading a front that is already buffered moves no
+// state — a stalled front is re-read every cycle exactly as it was — but
+// stepping the emulator or discovering the end of fetch does, and marks
+// the cycle non-quiescent.
+//
+//ddvet:hotpath
+func (c *Core) fetchFront() *emu.Effect {
+	if c.fetchN > 0 {
+		return &c.fetchQ[c.fetchHead]
+	}
+	c.progressed = true
+	if c.emu.Halted {
+		c.fetchDone = true
+		return nil
+	}
+	ef := &c.fetchQ[c.fetchHead]
+	if err := c.emu.StepInto(ef); err != nil {
+		c.fetchDone = true
+		c.stats.FetchError = err
+		return nil
+	}
+	c.fetchN = 1
 	return ef
 }
 
-func (c *Core) replayPushFront(ef emu.Effect) {
-	if c.replayN == len(c.replay) {
-		c.growReplay()
-	}
-	c.replayHead = (c.replayHead - 1) & (len(c.replay) - 1)
-	c.replay[c.replayHead] = ef
-	c.replayN++
+// fetchPop drops the front effect once its instruction has dispatched.
+func (c *Core) fetchPop() {
+	c.fetchHead = (c.fetchHead + 1) & (len(c.fetchQ) - 1)
+	c.fetchN--
 }
 
-func (c *Core) growReplay() {
-	nb := make([]emu.Effect, 2*len(c.replay))
-	for i := 0; i < c.replayN; i++ {
-		nb[i] = c.replay[(c.replayHead+i)&(len(c.replay)-1)]
+// fetchPushFront prepends a squashed instruction's effect for replay.
+// Every fetched effect is either in the ROB or in this deque, and the
+// emulator refills only an empty deque while the ROB has room, so the two
+// together never hold more than ROBSize effects: the ring, sized like the
+// ROB's, cannot overflow.
+func (c *Core) fetchPushFront(ef *emu.Effect) {
+	if c.fetchN == len(c.fetchQ) {
+		panic("core: fetch deque overflow")
 	}
-	c.replay, c.replayHead = nb, 0
+	c.fetchHead = (c.fetchHead - 1) & (len(c.fetchQ) - 1)
+	c.fetchQ[c.fetchHead] = *ef
+	c.fetchN++
 }
 
 // --------------------------------------------------------- uop pool
@@ -521,15 +537,29 @@ func (c *Core) growReplay() {
 // previous life are recognizably stale, and the waiter slab is kept to
 // stay allocation-free in steady state.
 func (c *Core) allocUop() *uop {
-	if n := len(c.freeUops); n > 0 {
-		u := c.freeUops[n-1]
-		c.freeUops = c.freeUops[:n-1]
-		gen, w := u.allocGen, u.waiters
-		*u = uop{}
-		u.allocGen, u.waiters = gen+1, w[:0]
-		return u
+	if len(c.freeUops) == 0 {
+		c.growUopPool(c.cfg.ROBSize)
 	}
-	return new(uop)
+	n := len(c.freeUops)
+	u := c.freeUops[n-1]
+	c.freeUops = c.freeUops[:n-1]
+	gen, w := u.allocGen, u.waiters
+	*u = uop{}
+	u.allocGen, u.waiters = gen+1, w[:0]
+	return u
+}
+
+// growUopPool adds n entries to the pool from one contiguous slab: the
+// intrusive walks (issue list, pending-access lists) chase pointers
+// across live entries every cycle, and a compact arena keeps those loads
+// inside a few pages instead of scattered heap allocations. New seeds the
+// pool for the whole population (the ROB plus retired producers still
+// held in dep slots), so the steady state never grows it.
+func (c *Core) growUopPool(n int) {
+	slab := make([]uop, n)
+	for i := n - 1; i >= 0; i-- {
+		c.freeUops = append(c.freeUops, &slab[i])
+	}
 }
 
 // watch registers u's interest in dep slot's producer for issue gating.
@@ -736,13 +766,14 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 		robCap <<= 1
 	}
 	c := &Core{
-		cfg:             cfg,
-		emu:             emu.New(prog),
-		mem:             &cache.MainMemory{Name: "mem", Latency: cfg.MemLatency},
-		regionPredictor: make(map[uint32]bool),
-		rob:             make([]*uop, robCap),
-		replay:          make([]emu.Effect, 16),
-		freeUops:        make([]*uop, 0, 3*cfg.ROBSize),
+		cfg:      cfg,
+		emu:      emu.New(prog),
+		mem:      &cache.MainMemory{Name: "mem", Latency: cfg.MemLatency},
+		text:     decodeText(prog, cfg),
+		textBase: prog.TextBase,
+		rob:      make([]*uop, robCap),
+		fetchQ:   make([]emu.Effect, robCap),
+		freeUops: make([]*uop, 0, 3*cfg.ROBSize),
 		// Wake population is bounded by a few registrations per in-flight
 		// instruction plus per-stream MSHR wakes; oversize the slab so the
 		// hot loop never grows it.
@@ -752,16 +783,7 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 		Name: "L2", SizeBytes: cfg.L2.SizeBytes, LineBytes: cfg.L2.LineBytes,
 		Assoc: cfg.L2.Assoc, HitLatency: cfg.L2.HitLatency, MSHRs: 64,
 	}, c.mem)
-	// Seed the pool from one contiguous slab: the intrusive walks
-	// (issue list, pending-access lists) chase pointers across live
-	// entries every cycle, and a compact arena keeps those loads inside
-	// a few pages instead of scattered heap allocations. The population
-	// is the ROB plus retired producers still held in dep slots; the
-	// pool falls back to the heap if it ever runs dry.
-	slab := make([]uop, 3*cfg.ROBSize)
-	for i := len(slab) - 1; i >= 0; i-- {
-		c.freeUops = append(c.freeUops, &slab[i])
-	}
+	c.growUopPool(3 * cfg.ROBSize)
 	if len(cfg.Streams()) > coreStreams {
 		return nil, ErrTooManyStreams
 	}
@@ -785,21 +807,6 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 	}
 	if cfg.Decoupled() && cfg.TLBEntries > 0 {
 		c.annotTLB = tlb.New(cfg.TLBEntries, cfg.TLBMissLatency)
-	}
-	if cfg.Decoupled() && cfg.Steering == config.SteerStatic {
-		c.staticClass = analysis.Analyze(prog).HintTable()
-	}
-	if cfg.Decoupled() && cfg.Steering == config.SteerSpec {
-		c.specClass = analysis.Assign(prog).SteerTable()
-	}
-	if cfg.Decoupled() && (cfg.ForwardStatic || cfg.CombineStatic) {
-		dep := analysis.Dependences(prog, cfg.LVC.LineBytes)
-		if cfg.ForwardStatic {
-			c.fwdPairs = dep.ForwardTable()
-		}
-		if cfg.CombineStatic {
-			c.combineGroups = dep.CombineTable()
-		}
 	}
 	return c, nil
 }

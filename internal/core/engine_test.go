@@ -29,12 +29,24 @@ func runEngine(t *testing.T, name string, scale float64, cfg config.Config, e En
 	return c.RunWith(context.Background(), RunOptions{Engine: e})
 }
 
+// memBoundConfig is a machine whose caches the workloads overflow: an
+// 8 KB 2-way L1, a 64 KB L2 with 20-cycle hits and 200-cycle memory, so
+// MSHR pile-ups and long fill waits dominate.
+func memBoundConfig() config.Config {
+	c := config.Default().WithPorts(2, 2).WithOptimizations(2)
+	c.L1 = config.CacheParams{SizeBytes: 8 * 1024, LineBytes: 32, Assoc: 2, HitLatency: 2}
+	c.L2 = config.CacheParams{SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 4, HitLatency: 20}
+	c.MemLatency = 200
+	return c
+}
+
 // TestEngineIdentityAllWorkloads is the differential harness for the
 // event-driven engine: on every workload, for a spread of machine
 // configurations (unified, decoupled, decoupled with both §2.2.2
-// optimizations), the event engine must produce a Result that is
-// bit-identical to the tick engine's — cycles, every stall counter, every
-// occupancy integral, every cache statistic.
+// optimizations, and a memory-bound cache geometry), the event engine
+// must produce a Result that is bit-identical to the tick engine's —
+// cycles, every stall counter, every occupancy integral, every cache
+// statistic.
 func TestEngineIdentityAllWorkloads(t *testing.T) {
 	configs := []struct {
 		name string
@@ -43,6 +55,7 @@ func TestEngineIdentityAllWorkloads(t *testing.T) {
 		{"unified(4+0)", config.Default().WithPorts(4, 0)},
 		{"decoupled(3+2)", config.Default().WithPorts(3, 2)},
 		{"optimized(3+2)", config.Default().WithPorts(3, 2).WithOptimizations(2)},
+		{"mem-bound(2+2)", memBoundConfig()},
 	}
 	scale := 0.02
 	for _, w := range workload.All() {
@@ -51,6 +64,36 @@ func TestEngineIdentityAllWorkloads(t *testing.T) {
 				t.Parallel()
 				tick, terr := runEngine(t, w.Name, scale, tc.cfg, EngineTick)
 				event, eerr := runEngine(t, w.Name, scale, tc.cfg, EngineEvent)
+				if terr != nil || eerr != nil {
+					t.Fatalf("run errors: tick=%v event=%v", terr, eerr)
+				}
+				assertResultsIdentical(t, tick, event)
+			})
+		}
+	}
+}
+
+// TestEngineIdentitySmallL1 is the regression test for a livelock of the
+// event engine on alt-small-l1's machines (a 2 KB direct-mapped L1 with
+// 1-cycle hits, with the default L2 and with a 3-cycle L2). A load at the
+// ROB head stalled on a full MSHR file whose earliest fill, due the next
+// cycle, had been started by a store commit and so was never registered
+// as a wake; the stalled cycle was quiescent and the engine skipped
+// straight past the fill to the watchdog boundary.
+func TestEngineIdentitySmallL1(t *testing.T) {
+	small := config.Default().WithPorts(2, 0)
+	small.L1 = config.CacheParams{SizeBytes: 2 * 1024, LineBytes: 32, Assoc: 1, HitLatency: 1}
+	fastL2 := small
+	fastL2.L2.HitLatency = 3
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+	}{{"2KB-L1", small}, {"2KB-L1,L2@3", fastL2}} {
+		for _, name := range []string{"tomcatv", "mgrid", "gcc"} {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				t.Parallel()
+				tick, terr := runEngine(t, name, 0.1, tc.cfg, EngineTick)
+				event, eerr := runEngine(t, name, 0.1, tc.cfg, EngineEvent)
 				if terr != nil || eerr != nil {
 					t.Fatalf("run errors: tick=%v event=%v", terr, eerr)
 				}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/config"
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/memsys"
 )
@@ -13,15 +11,16 @@ import (
 // then the memory pipelines, then issue, then fetch/dispatch.
 //
 // Every state *transition* (a commit, an issue, a dispatch, a load
-// completing, an effect leaving the emulator or the replay buffer, a
-// squash) sets c.progressed; a cycle that ends with it clear changed
-// nothing but per-cycle stall counters, and the event-driven engine in
-// run.go may then jump the clock to the next registered wake (the
-// quiescence invariant, DESIGN.md §12). Whenever a stage creates a
-// timestamp more than one cycle in the future (a cache fill, a TLB fill, a
-// multi-cycle functional-unit latency, a recovery stall), it registers a
-// wake; events exactly one cycle ahead need none, because a skip only
-// begins after two consecutive quiescent cycles.
+// completing, the emulator refilling the fetch deque, a squash) sets
+// c.progressed; a cycle that ends with it clear changed nothing but
+// per-cycle stall counters, and the event-driven engine in run.go may then
+// jump the clock to the next registered wake (the quiescence invariant,
+// DESIGN.md §12). Whenever a stage creates a timestamp more than one cycle
+// in the future (a cache fill, a TLB fill, a multi-cycle functional-unit
+// latency, a recovery stall), it registers a wake; events exactly one
+// cycle ahead need none, because a skip only begins after two consecutive
+// quiescent cycles. The exception is a fill found by an MSHR stall, which
+// no earlier cycle need have registered (addMSHRWake).
 //
 //ddvet:hotpath
 func (c *Core) cycle() {
@@ -46,12 +45,24 @@ func (c *Core) cycle() {
 	c.stats.Cycles = c.now
 }
 
-// addWake registers a wake for the given cycle if it is far enough away to
-// need one: cycles at now+1 always execute (a skip requires two quiescent
-// cycles first), so only timestamps beyond that are registered.
+// addWake registers a wake for a timestamp the current cycle created, if
+// it is far enough away to need one: cycles at now+1 always execute (a
+// skip requires two quiescent cycles first), so only timestamps beyond
+// that are registered.
 func (c *Core) addWake(cycle uint64) {
 	if cycle > c.now+1 {
 		c.sched.Add(cycle)
+	}
+}
+
+// addMSHRWake registers the fill an MSHR-stalled access waits for. Unlike
+// addWake's timestamps, that fill may have been started by an access that
+// never registered it (a store commit does not wait for its fill), so a
+// fill due at now+1 is not known to be in the heap and is registered too:
+// otherwise a quiescent stall cycle would skip straight past it.
+func (c *Core) addMSHRWake(s *memsys.Stream) {
+	if w := s.NextWake(c.now); w > 0 {
+		c.sched.Add(w)
 	}
 }
 
@@ -90,9 +101,7 @@ func (c *Core) commitStage() {
 				// hardware — and the stall holds until a fill frees an
 				// MSHR, so that completion is the next wake.
 				if status == memsys.CommitMSHRStall {
-					if w := c.streams[u.stream].NextWake(c.now); w > 0 {
-						c.addWake(w)
-					}
+					c.addMSHRWake(c.streams[u.stream])
 				}
 				break
 			}
@@ -106,8 +115,8 @@ func (c *Core) commitStage() {
 		// The committed value is architectural now; producer() would
 		// answer nil anyway, so drop the rename-table self reference to
 		// let the entry recycle.
-		if dest, ok := u.ef.Inst.Dest(); ok && c.renameTable[dest] == u {
-			c.renameTable[dest] = nil
+		if u.hasDest && c.renameTable[u.dest] == u {
+			c.renameTable[u.dest] = nil
 		}
 		// Release any producers still held (a fast-forwarded load
 		// completes without ever issuing, so its base-register dep is
@@ -357,9 +366,7 @@ func (c *Core) loadAccess(s *memsys.Stream, pos int, u *uop) {
 	ready, ok := s.Cache.Access(c.now, u.ef.Addr, false)
 	if !ok {
 		s.Stats.LoadMSHRStalls++
-		if w := s.NextWake(c.now); w > 0 {
-			c.addWake(w)
-		}
+		c.addMSHRWake(s)
 		return
 	}
 	u.readyAt = ready
@@ -410,11 +417,12 @@ func (c *Core) tryFastForward(s *memsys.Stream, u *uop) bool {
 	// statically-proven pair, and only from that pair's store.
 	var wantStore uint32
 	if c.cfg.ForwardStatic {
-		var claimed bool
-		if wantStore, claimed = c.fwdPairs[u.ef.PC]; !claimed {
+		d := c.decodedAt(u.ef.PC)
+		if !d.hasFwd {
 			u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
 			return false
 		}
+		wantStore = d.fwdStore
 	}
 	for j := s.Queue.IndexOf(u) - 1; j >= 0; j-- {
 		st := s.Queue.At(j).(*uop)
@@ -583,6 +591,12 @@ func (c *Core) issueStage() {
 
 // ------------------------------------------------------------- dispatch
 
+// dispatchStage moves up to IssueWidth effects from the front of the fetch
+// deque into the ROB and their memory streams, in program order. An effect
+// that cannot dispatch (ROB or queue full) stays at the front for the next
+// cycle.
+//
+//ddvet:hotpath
 func (c *Core) dispatchStage() {
 	if c.now < c.dispatchStallUntil {
 		c.stats.RecoveryStallCycles++
@@ -593,16 +607,16 @@ func (c *Core) dispatchStage() {
 			c.stats.ROBFullStalls++
 			return
 		}
-		ef, ok := c.nextEffect()
-		if !ok {
+		ef := c.fetchFront()
+		if ef == nil {
 			return
 		}
-		in := ef.Inst
+		d := c.decodedAt(ef.PC)
 
 		var local, dual, spec bool
 		var target int
-		if in.IsMem() {
-			local, dual, spec = c.steer(ef)
+		if d.isMem {
+			local, dual, spec = c.steer(ef, d)
 			if c.fi != nil && c.cfg.Decoupled() {
 				// Injected fault: a corrupted steering hint. The
 				// verification path (checkSteering) recovers misroutes,
@@ -612,8 +626,7 @@ func (c *Core) dispatchStage() {
 			}
 			target = c.route(local)
 			if c.streamFull(target) || (dual && c.streamFull(c.route(!local))) {
-				// Hold the effect for the next cycle.
-				c.pending, c.hasPending = ef, true
+				// The effect stays at the front for the next cycle.
 				c.stats.QueueFullStalls++
 				return
 			}
@@ -621,16 +634,25 @@ func (c *Core) dispatchStage() {
 
 		u := c.allocUop()
 		u.seq = c.seq
-		u.ef = ef
-		u.class = in.Op.Info().Class
+		u.ef = *ef
+		c.fetchPop()
+		u.class = d.class
+		u.dest, u.hasDest = d.dest, d.hasDest
 		u.dispatchedAt = c.now
 		c.seq++
 		c.progressed = true
 
-		// Rename the source operands.
-		if in.IsMem() {
+		// Rename the source operands: for a memory access, the base
+		// register and (stores) the stored value.
+		if d.nsrc >= 1 {
+			u.dep[0] = c.producer(d.src[0])
+		}
+		if d.nsrc >= 2 {
+			u.dep[1] = c.producer(d.src[1])
+		}
+		if d.isMem {
 			u.isMem = true
-			u.isLoad = in.IsLoad()
+			u.isLoad = d.isLoad
 			u.stream = target
 			u.dual = dual
 			u.spec = spec
@@ -639,24 +661,9 @@ func (c *Core) dispatchStage() {
 				// spec access counts again on re-dispatch.
 				c.streams[target].Stats.SpecSteered++
 			}
-			u.baseReg = in.BaseReg()
+			u.baseReg = d.src[0]
 			u.spGen = c.spGen
-			u.combineGroup = memsys.GroupNone
-			if g, ok := c.combineGroups[ef.PC]; ok {
-				u.combineGroup = g
-			}
-			u.dep[0] = c.producer(in.BaseReg())
-			if !u.isLoad {
-				u.dep[1] = c.producer(in.Rt)
-			}
-		} else {
-			a, b, na := in.Srcs()
-			if na >= 1 {
-				u.dep[0] = c.producer(a)
-			}
-			if na >= 2 {
-				u.dep[1] = c.producer(b)
-			}
+			u.combineGroup = d.combineGroup
 		}
 
 		// Register the issue-gating waits: the base register for a
@@ -673,9 +680,9 @@ func (c *Core) dispatchStage() {
 
 		// Rename the destination and advance the stack generation when
 		// $sp or $fp is redefined.
-		if dest, hasDest := in.Dest(); hasDest {
-			c.renameTable[dest] = u
-			if dest == isa.RegSP || dest == isa.RegFP {
+		if d.hasDest {
+			c.renameTable[d.dest] = u
+			if d.dest == isa.RegSP || d.dest == isa.RegFP {
 				c.spGen++
 			}
 		}
@@ -689,7 +696,7 @@ func (c *Core) dispatchStage() {
 			} else {
 				c.stats.Stores++
 			}
-			if isa.InStackRegion(ef.Addr) {
+			if isa.InStackRegion(u.ef.Addr) {
 				if u.isLoad {
 					c.stats.LocalLoads++
 				} else {
@@ -709,7 +716,7 @@ func (c *Core) dispatchStage() {
 
 		// Fetch is finished only when the emulator has halted AND no
 		// squashed effects remain to replay.
-		if c.emu.Halted && c.replayN == 0 && !c.hasPending {
+		if c.emu.Halted && c.fetchN == 0 {
 			c.fetchDone = true
 		}
 		if c.cfg.MaxInsts > 0 && c.seq >= c.cfg.MaxInsts {
@@ -745,129 +752,6 @@ func (c *Core) producer(r isa.Reg) *uop {
 	return p
 }
 
-// nextEffect returns the next architectural effect to dispatch: the one
-// buffered by a queue-full stall, a squashed effect awaiting replay, or a
-// fresh emulator step.
-//
-// pending must drain before replay. A queue-full stall can park the front
-// replay entry in pending; everything still in replay is then younger than
-// it. Popping replay first would dispatch out of program order — and, if
-// the popped effect stalled too, overwrite pending and silently drop the
-// older effect.
-//
-// Progress accounting: re-examining the parked pending effect moves no
-// state (a re-park leaves the machine exactly as it was), but popping the
-// replay buffer, stepping the emulator, or discovering the end of fetch
-// all transition state and mark the cycle non-quiescent.
-func (c *Core) nextEffect() (emu.Effect, bool) {
-	if c.hasPending {
-		c.hasPending = false
-		return c.pending, true
-	}
-	if c.replayN > 0 {
-		c.progressed = true
-		return c.replayPopFront(), true
-	}
-	if c.emu.Halted {
-		if !c.fetchDone {
-			c.progressed = true
-		}
-		c.fetchDone = true
-		return emu.Effect{}, false
-	}
-	ef, err := c.emu.Step()
-	c.progressed = true
-	if err != nil {
-		c.fetchDone = true
-		c.stats.FetchError = err
-		return emu.Effect{}, false
-	}
-	return ef, true
-}
-
-// ------------------------------------------------------------- steering
-
-// steer classifies a memory access at dispatch (paper §2.1): local
-// accesses go to the local stream, everything else to the conventional
-// one. Under SteerDual, an unhinted access additionally reports dual=true:
-// it is inserted into both streams and the wrong copy is killed at address
-// resolution (§2.1 footnote 3). Under SteerSpec, a speculate-local access
-// reports spec=true: it is steered local on an unproven assignment and a
-// later misroute of it is accounted as a misspeculation.
-func (c *Core) steer(ef emu.Effect) (local, dual, spec bool) {
-	if !c.cfg.Decoupled() {
-		return false, false, false
-	}
-	switch c.cfg.Steering {
-	case config.SteerOracle:
-		local = isa.InStackRegion(ef.Addr)
-	case config.SteerSP:
-		local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
-	case config.SteerDual:
-		switch ef.Inst.Hint {
-		case isa.HintLocal:
-			local = true
-		case isa.HintNonLocal:
-			local = false
-		default:
-			// Ambiguous: occupy both streams, primary by base register.
-			local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
-			dual = true
-		}
-	case config.SteerStatic:
-		// The analyzer's classification table replaces the hint bits;
-		// ambiguous accesses fall back to the region predictor.
-		switch c.staticClass[ef.PC] {
-		case isa.HintLocal:
-			local = true
-		case isa.HintNonLocal:
-			local = false
-		default:
-			if pred, ok := c.regionPredictor[ef.PC]; ok {
-				local = pred
-			} else {
-				local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
-			}
-			c.stats.PredictedSteers++
-		}
-	case config.SteerSpec:
-		// The Assign pass's confidence table: proofs are trusted,
-		// speculate-local is steered local on faith (misroute recovery
-		// absorbs the misses), leave-dynamic falls back to the predictor.
-		switch c.specClass[ef.PC] {
-		case analysis.ConfProvenLocal:
-			local = true
-		case analysis.ConfProvenNonLocal:
-			local = false
-		case analysis.ConfSpecLocal:
-			local = true
-			spec = true
-		default:
-			if pred, ok := c.regionPredictor[ef.PC]; ok {
-				local = pred
-			} else {
-				local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
-			}
-			c.stats.PredictedSteers++
-		}
-	default: // SteerHint
-		switch ef.Inst.Hint {
-		case isa.HintLocal:
-			local = true
-		case isa.HintNonLocal:
-			local = false
-		default:
-			if pred, ok := c.regionPredictor[ef.PC]; ok {
-				local = pred
-			} else {
-				local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
-			}
-			c.stats.PredictedSteers++
-		}
-	}
-	return local, dual, spec
-}
-
 // checkSteering verifies the stream assignment once the effective address
 // is known. A wrongly-steered access is removed, re-inserted into the
 // correct stream (in program order) and the front end stalls for the
@@ -877,13 +761,11 @@ func (c *Core) checkSteering(u *uop) {
 		return
 	}
 	local := isa.InStackRegion(u.ef.Addr)
-	switch {
-	case c.cfg.Steering == config.SteerHint && u.ef.Inst.Hint == isa.HintNone:
-		c.regionPredictor[u.ef.PC] = local
-	case c.cfg.Steering == config.SteerStatic && c.staticClass[u.ef.PC] == isa.HintNone:
-		c.regionPredictor[u.ef.PC] = local
-	case c.cfg.Steering == config.SteerSpec && c.specClass[u.ef.PC] == analysis.ConfDynamic:
-		c.regionPredictor[u.ef.PC] = local
+	if d := c.decodedAt(u.ef.PC); d.steer == steerPredict {
+		d.pred = predNonLocal
+		if local {
+			d.pred = predLocal
+		}
 	}
 	right := c.route(local)
 	if u.dual {
@@ -950,8 +832,8 @@ func (c *Core) squashYounger(u *uop) {
 		}
 	}
 	if idx < 0 || idx == c.robN-1 {
-		// u is the youngest (or already gone): nothing to squash, but a
-		// queue-full pending effect is younger and stays pending.
+		// u is the youngest (or already gone): nothing to squash. Effects
+		// still in the fetch deque are younger and stay where they are.
 		return
 	}
 	c.progressed = true
@@ -979,18 +861,11 @@ func (c *Core) squashYounger(u *uop) {
 		c.stats.Squashed++
 	}
 
-	// Re-dispatch order must be program order: the squashed window is
-	// older than a queue-full pending effect, which in turn is older
-	// than any effects still waiting in the replay buffer (pending is
-	// either a fresh fetch buffered while replay was empty, or the
-	// former front of the replay buffer). Build that order by pushing
-	// onto the front of the deque in reverse.
-	if c.hasPending {
-		c.replayPushFront(c.pending)
-		c.hasPending = false
-	}
+	// Re-dispatch order is program order: the squashed window is older
+	// than every effect still in the fetch deque, so it goes in front,
+	// pushed youngest first.
 	for i := c.robN - 1; i > idx; i-- {
-		c.replayPushFront(c.robAt(i).ef)
+		c.fetchPushFront(&c.robAt(i).ef)
 	}
 
 	for _, s := range c.streams {
@@ -1021,9 +896,8 @@ func (c *Core) squashYounger(u *uop) {
 		c.renameTable[i] = nil
 	}
 	for i := 0; i < c.robN; i++ {
-		v := c.robAt(i)
-		if dest, ok := v.ef.Inst.Dest(); ok {
-			c.renameTable[dest] = v
+		if v := c.robAt(i); v.hasDest {
+			c.renameTable[v.dest] = v
 		}
 	}
 	c.spGen = u.spGenAfter

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/config"
+	"repro/internal/emu"
+	"repro/internal/workload"
 )
 
 // Targeted micro-architecture tests: each pins one pipeline mechanism.
@@ -246,5 +250,114 @@ func TestMemRefsAndLocalFraction(t *testing.T) {
 	}
 	if res.LocalFraction() != 1 {
 		t.Errorf("fib local fraction = %f", res.LocalFraction())
+	}
+}
+
+// misrouteLoop makes misroute recovery replay into a full queue. Under
+// SteerSP the $t0-based store is steered to the LSQ and resolves to the
+// stack; by then the younger lw $t4 has dispatched into the LVAQ behind a
+// store whose value waits on a memory miss. The squash sends lw $t4 and
+// everything after it back to the fetch deque, the misrouted store moves
+// into the LVAQ, and the two-entry LVAQ then stays full until the miss
+// returns, long after the recovery stall ends.
+const misrouteLoop = `
+        .text
+main:
+        la   $s0, arr
+        addi $sp, $sp, -64
+        move $t0, $sp
+        li   $t1, 0
+        li   $t2, 40
+loop:
+        lw   $t3, 0($s0)
+        sw   $t3, 4($sp)
+        sw   $t1, 0($t0)
+        lw   $t4, 8($sp)
+        add  $t5, $t4, $t1
+        out  $t5
+        addi $s0, $s0, 4096
+        addi $t1, $t1, 1
+        bne  $t1, $t2, loop
+        addi $sp, $sp, 64
+        halt
+        .data
+arr:    .space 163840
+`
+
+// TestFetchDequeReplaysInOrderUnderQueuePressure forces the dispatch
+// hazard of a replayed effect stalling on a full queue: misroute squashes
+// refill the fetch deque while two-entry queues keep stalling its front.
+// The test counts the cycles that end with a stalled front and a younger
+// replayed effect behind it (the emulator refills only an empty deque, so
+// any second entry came from a squash), and requires the run to commit
+// exactly the emulator's instruction stream and outputs, identically
+// under both engines.
+func TestFetchDequeReplaysInOrderUnderQueuePressure(t *testing.T) {
+	tiny := config.Default().WithPorts(2, 2).WithOptimizations(2)
+	tiny.LSQSize, tiny.LVAQSize = 2, 2
+	sp := tiny
+	sp.Steering = config.SteerSP
+
+	m88k, err := workload.ByName("m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		prog *asm.Program
+		cfg  config.Config
+	}{
+		{"misroute-loop/sp", compile(t, misrouteLoop), sp},
+		// Stripped hints leave steering to the region predictor: its
+		// mispredictions squash, and its PredictedSteers counter moves on
+		// every stalled dispatch attempt, skipped cycles included.
+		{"m88ksim-stripped/hint", m88k.ProgramStripped(0.02), tiny},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.prog, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stalledReplays := 0
+			for !c.done() && c.now < 10_000_000 {
+				stalls := c.stats.QueueFullStalls
+				c.cycle()
+				if c.stats.QueueFullStalls > stalls && c.fetchN >= 2 {
+					stalledReplays++
+				}
+			}
+			if !c.done() {
+				t.Fatalf("run did not finish by cycle %d", c.now)
+			}
+			if stalledReplays == 0 {
+				t.Fatal("no replayed effect ever stalled on a full queue; the test lost its scenario")
+			}
+			ref := emu.New(tc.prog)
+			if _, err := ref.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			res := c.result()
+			if res.Committed != ref.InstCount {
+				t.Errorf("committed %d instructions, emulator retired %d", res.Committed, ref.InstCount)
+			}
+			if !reflect.DeepEqual(res.Output, ref.Output) || !reflect.DeepEqual(res.FOutput, ref.FOutput) {
+				t.Errorf("outputs diverge from the emulator's")
+			}
+
+			var results [2]*Result
+			for i, e := range []Engine{EngineTick, EngineEvent} {
+				c, err := New(tc.prog, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if results[i], err = c.RunWith(context.Background(), RunOptions{Engine: e}); err != nil {
+					t.Fatalf("engine %v: %v", e, err)
+				}
+			}
+			assertResultsIdentical(t, results[0], results[1])
+			if !reflect.DeepEqual(results[0], res) {
+				t.Error("RunWith's tick engine diverges from the hand-driven cycle loop")
+			}
+		})
 	}
 }

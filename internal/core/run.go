@@ -318,7 +318,10 @@ func (c *Core) runEvent(ctx context.Context, opts RunOptions, watchdog uint64) (
 // and only this set — must be replayed across a skipped gap.
 type stallSnapshot struct {
 	loadOrder, partialOverlap, fu, robFull, queueFull, recovery uint64
-	streams                                                     [memsys.MaxStreams]streamStallSnap
+	// predicted moves with queueFull: a queue-full stall re-steers its
+	// access every cycle, and a predictor-steered one counts each time.
+	predicted uint64
+	streams   [memsys.MaxStreams]streamStallSnap
 }
 
 type streamStallSnap struct {
@@ -335,6 +338,7 @@ func (c *Core) snapStallCounters() {
 	s.robFull = c.stats.ROBFullStalls
 	s.queueFull = c.stats.QueueFullStalls
 	s.recovery = c.stats.RecoveryStallCycles
+	s.predicted = c.stats.PredictedSteers
 	for i, st := range c.streams {
 		ss := &s.streams[i]
 		ss.loadPort = st.Stats.LoadPortStalls
@@ -361,6 +365,7 @@ func (c *Core) skipTo(target uint64) {
 	c.stats.ROBFullStalls += span * (c.stats.ROBFullStalls - s.robFull)
 	c.stats.QueueFullStalls += span * (c.stats.QueueFullStalls - s.queueFull)
 	c.stats.RecoveryStallCycles += span * (c.stats.RecoveryStallCycles - s.recovery)
+	c.stats.PredictedSteers += span * (c.stats.PredictedSteers - s.predicted)
 	for i, st := range c.streams {
 		ss := &s.streams[i]
 		st.Stats.LoadPortStalls += span * (st.Stats.LoadPortStalls - ss.loadPort)

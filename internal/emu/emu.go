@@ -95,14 +95,26 @@ func (m *Machine) setFPR(r isa.Reg, v float64) {
 // Step executes the instruction at the current PC and advances the machine.
 // It returns the instruction's architectural effect.
 func (m *Machine) Step() (Effect, error) {
+	var ef Effect
+	if err := m.StepInto(&ef); err != nil {
+		return Effect{}, err
+	}
+	return ef, nil
+}
+
+// StepInto is Step writing the effect into storage the caller owns, so a
+// front end that buffers effects fills its slots in place instead of
+// copying each one out through a return value. On error the machine has
+// not advanced and *ef holds no meaningful effect.
+func (m *Machine) StepInto(ef *Effect) error {
 	if m.Halted {
-		return Effect{}, errors.New("emu: machine is halted")
+		return errors.New("emu: machine is halted")
 	}
 	in, ok := m.Prog.InstAt(m.PC)
 	if !ok {
-		return Effect{}, fmt.Errorf("%w: pc=%#x", ErrNoInst, m.PC)
+		return fmt.Errorf("%w: pc=%#x", ErrNoInst, m.PC)
 	}
-	ef := Effect{PC: m.PC, Inst: in, NextPC: m.PC + isa.InstBytes}
+	*ef = Effect{PC: m.PC, Inst: in, NextPC: m.PC + isa.InstBytes}
 
 	switch in.Op {
 	case isa.NOP:
@@ -245,21 +257,21 @@ func (m *Machine) Step() (Effect, error) {
 		}
 
 	case isa.BEQ:
-		m.branch(&ef, m.gpr(in.Rs) == m.gpr(in.Rt))
+		m.branch(ef, m.gpr(in.Rs) == m.gpr(in.Rt))
 	case isa.BNE:
-		m.branch(&ef, m.gpr(in.Rs) != m.gpr(in.Rt))
+		m.branch(ef, m.gpr(in.Rs) != m.gpr(in.Rt))
 	case isa.BLT:
-		m.branch(&ef, m.gpr(in.Rs) < m.gpr(in.Rt))
+		m.branch(ef, m.gpr(in.Rs) < m.gpr(in.Rt))
 	case isa.BGE:
-		m.branch(&ef, m.gpr(in.Rs) >= m.gpr(in.Rt))
+		m.branch(ef, m.gpr(in.Rs) >= m.gpr(in.Rt))
 	case isa.BLEZ:
-		m.branch(&ef, m.gpr(in.Rs) <= 0)
+		m.branch(ef, m.gpr(in.Rs) <= 0)
 	case isa.BGTZ:
-		m.branch(&ef, m.gpr(in.Rs) > 0)
+		m.branch(ef, m.gpr(in.Rs) > 0)
 	case isa.BLTZ:
-		m.branch(&ef, m.gpr(in.Rs) < 0)
+		m.branch(ef, m.gpr(in.Rs) < 0)
 	case isa.BGEZ:
-		m.branch(&ef, m.gpr(in.Rs) >= 0)
+		m.branch(ef, m.gpr(in.Rs) >= 0)
 
 	case isa.J:
 		ef.NextPC = uint32(in.Imm)
@@ -282,12 +294,12 @@ func (m *Machine) Step() (Effect, error) {
 		m.FOutput = append(m.FOutput, m.fpr(in.Rs))
 
 	default:
-		return Effect{}, fmt.Errorf("emu: unimplemented opcode %v at pc=%#x", in.Op, m.PC)
+		return fmt.Errorf("emu: unimplemented opcode %v at pc=%#x", in.Op, m.PC)
 	}
 
 	m.PC = ef.NextPC
 	m.InstCount++
-	return ef, nil
+	return nil
 }
 
 func (m *Machine) branch(ef *Effect, taken bool) {
@@ -300,11 +312,12 @@ func (m *Machine) branch(ef *Effect, taken bool) {
 // Run executes until HALT or until maxInsts instructions have retired
 // (maxInsts <= 0 means no limit). It reports whether the program halted.
 func (m *Machine) Run(maxInsts uint64) (bool, error) {
+	var ef Effect
 	for !m.Halted {
 		if maxInsts > 0 && m.InstCount >= maxInsts {
 			return false, nil
 		}
-		if _, err := m.Step(); err != nil {
+		if err := m.StepInto(&ef); err != nil {
 			return false, err
 		}
 	}

@@ -355,6 +355,46 @@ skip:   halt
 	}
 }
 
+// TestStepIntoReusedSlot steps one machine with Step and a twin with
+// StepInto into a single reused Effect: every effect must match, so no
+// field of a previous effect (a taken branch, a memory address) survives
+// into the next one written over it.
+func TestStepIntoReusedSlot(t *testing.T) {
+	p, err := asm.Assemble("slot.s", `
+        .text
+main:
+        addi $sp, $sp, -8
+        li   $t0, 3
+loop:
+        sw   $t0, 4($sp) !local
+        addi $t0, $t0, -1
+        bgtz $t0, loop
+        lw   $t1, 4($sp) !local
+        out  $t1
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, m := New(p), New(p)
+	var ef Effect
+	for !ref.Halted {
+		want, werr := ref.Step()
+		if err := m.StepInto(&ef); err != nil || werr != nil {
+			t.Fatalf("step errors: Step=%v StepInto=%v", werr, err)
+		}
+		if ef != want {
+			t.Fatalf("StepInto wrote %+v, Step returned %+v", ef, want)
+		}
+	}
+	if m.InstCount != ref.InstCount || !m.Halted {
+		t.Errorf("StepInto machine: %d instructions, halted=%v; Step machine: %d", m.InstCount, m.Halted, ref.InstCount)
+	}
+	if err := m.StepInto(&ef); err == nil {
+		t.Error("StepInto after halt did not error")
+	}
+}
+
 func TestJalrAndJr(t *testing.T) {
 	m := run(t, `
         .text
