@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -29,7 +30,7 @@ func init() {
 			"heuristic) vs generator hints vs assigned hints vs assigned+" +
 			"speculative steering vs the oracle, plus the deliberately " +
 			"ambiguous spec1/spec2 examples where only speculation wins.",
-		Run: runAblationAssign,
+		plan: planAblationAssign,
 	})
 }
 
@@ -162,20 +163,54 @@ var assignLegs = []assignLeg{
 	{name: "oracle", steering: config.SteerOracle, strip: true},
 }
 
-// assignLegResult runs one workload leg through the runner's cache.
-func assignLegResult(r *Runner, w workload.Workload, leg assignLeg) (*core.Result, error) {
+// exampleLegs are the legs the ambiguous examples run, on the example as
+// written or, for assigned, re-hinted.
+var exampleLegs = []assignLeg{
+	{name: "assigned", steering: config.SteerHint, rehint: true},
+	{name: "spec", steering: config.SteerSpec},
+	{name: "oracle", steering: config.SteerOracle},
+}
+
+// assignImages is one program's two images: base, the image the hints are
+// assigned to, cached as baseName, and assigned, base re-hinted by
+// analysis.Assign, cached as name+"+assigned".
+type assignImages struct {
+	name, baseName string
+	base, assigned *asm.Program
+}
+
+// newAssignImages runs analysis.Assign on base.
+func newAssignImages(name, baseName string, base *asm.Program) assignImages {
+	return assignImages{name: name, baseName: baseName, base: base, assigned: analysis.Assign(base).Apply()}
+}
+
+// strippedImages builds the images of workload w's hint-stripped program.
+func strippedImages(w workload.Workload, scale float64) assignImages {
+	return newAssignImages(w.Name, w.Name+"+stripped", w.ProgramStripped(scale))
+}
+
+// machine is the ablation's machine under leg's steering policy.
+func (leg assignLeg) machine() config.Config {
 	cfg := assignAblationConfig()
 	cfg.Steering = leg.steering
-	if !leg.strip {
-		return r.Result(w, cfg)
-	}
-	prog := w.ProgramStripped(r.Scale)
-	name := w.Name + "+stripped"
+	return cfg
+}
+
+// point is the simulation leg runs on these images.
+func (img assignImages) point(leg assignLeg) point {
 	if leg.rehint {
-		prog = analysis.Assign(prog).Apply()
-		name = w.Name + "+assigned"
+		return point{name: img.name + "+assigned", prog: img.assigned, cfg: leg.machine()}
 	}
-	return r.ResultProgram(name, prog, cfg)
+	return point{name: img.baseName, prog: img.base, cfg: leg.machine()}
+}
+
+// workloadPoint is workload w's simulation under leg: the generator leg
+// runs the workload itself, the others run its stripped images.
+func workloadPoint(w workload.Workload, img assignImages, leg assignLeg) point {
+	if !leg.strip {
+		return point{w: w, cfg: leg.machine()}
+	}
+	return img.point(leg)
 }
 
 // gapRecovered is the fraction of the unhinted→oracle IPC gap the
@@ -192,57 +227,75 @@ func gapRecovered(unhinted, assigned, oracle float64) float64 {
 	return rec
 }
 
-func runAblationAssign(r *Runner) (string, error) {
-	var b strings.Builder
-
-	t := stats.NewTable("Hint assignment ablation under (3+2) with optimizations (cycles)",
-		"program", "unhinted", "generator", "assigned", "spec", "oracle", "gap recovered")
-	for _, w := range workload.All() {
-		res := map[string]*core.Result{}
-		for _, leg := range assignLegs {
-			lr, err := assignLegResult(r, w, leg)
-			if err != nil {
-				return "", err
-			}
-			res[leg.name] = lr
-		}
-		rec := gapRecovered(res["unhinted"].IPC(), res["assigned"].IPC(), res["oracle"].IPC())
-		t.AddRow(w.Name,
-			res["unhinted"].Cycles, res["generator"].Cycles, res["assigned"].Cycles,
-			res["spec"].Cycles, res["oracle"].Cycles,
-			fmt.Sprintf("%.0f%%", 100*rec))
-	}
-	b.WriteString(t.Render())
-	b.WriteString("(gap recovered: fraction of the unhinted→oracle IPC gap closed by assigned hints)\n\n")
-
+func planAblationAssign(r *Runner) ([]point, func() (string, error), error) {
+	ws := workload.All()
 	progs, err := specExamples()
 	if err != nil {
-		return "", err
+		return nil, nil, err
 	}
-	t2 := stats.NewTable("Ambiguous examples: speculation vs hint fallback",
-		"program", "policy", "cycles", "IPC", "misroutes", "spec misroutes")
-	for _, prog := range progs {
-		for _, leg := range []assignLeg{
-			{name: "assigned", steering: config.SteerHint, rehint: true},
-			{name: "spec", steering: config.SteerSpec},
-			{name: "oracle", steering: config.SteerOracle},
-		} {
-			cfg := assignAblationConfig()
-			cfg.Steering = leg.steering
-			image, name := prog, prog.Name
-			if leg.rehint {
-				image = analysis.Assign(prog).Apply()
-				name += "+assigned"
-			}
-			lr, err := r.ResultProgram(name, image, cfg)
-			if err != nil {
-				return "", err
-			}
-			t2.AddRow(prog.Name, leg.name, lr.Cycles,
-				fmt.Sprintf("%.3f", lr.IPC()), lr.Misroutes, lr.SpecMisroutes)
+	// Every workload's stripped images and every example's images, one
+	// analysis.Assign per CPU.
+	imgs, err := batch(len(ws)+len(progs), func(i int) (assignImages, error) {
+		if i < len(ws) {
+			return strippedImages(ws[i], r.Scale), nil
+		}
+		p := progs[i-len(ws)]
+		return newAssignImages(p.Name, p.Name, p), nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	wImgs, exImgs := imgs[:len(ws)], imgs[len(ws):]
+	var grid []point
+	for i, w := range ws {
+		for _, leg := range assignLegs {
+			grid = append(grid, workloadPoint(w, wImgs[i], leg))
 		}
 	}
-	b.WriteString(t2.Render())
-	b.WriteString("(spec1/spec2 carry no provable accesses: \"assigned\" degenerates to the\npredictor fallback, and only speculate-local steering closes on the oracle)\n")
-	return b.String(), nil
+	for _, img := range exImgs {
+		for _, leg := range exampleLegs {
+			grid = append(grid, img.point(leg))
+		}
+	}
+
+	render := func() (string, error) {
+		ctx := context.Background()
+		var b strings.Builder
+		t := stats.NewTable("Hint assignment ablation under (3+2) with optimizations (cycles)",
+			"program", "unhinted", "generator", "assigned", "spec", "oracle", "gap recovered")
+		for i, w := range ws {
+			res := map[string]*core.Result{}
+			for _, leg := range assignLegs {
+				lr, err := r.resultOf(ctx, workloadPoint(w, wImgs[i], leg))
+				if err != nil {
+					return "", err
+				}
+				res[leg.name] = lr
+			}
+			rec := gapRecovered(res["unhinted"].IPC(), res["assigned"].IPC(), res["oracle"].IPC())
+			t.AddRow(w.Name,
+				res["unhinted"].Cycles, res["generator"].Cycles, res["assigned"].Cycles,
+				res["spec"].Cycles, res["oracle"].Cycles,
+				fmt.Sprintf("%.0f%%", 100*rec))
+		}
+		b.WriteString(t.Render())
+		b.WriteString("(gap recovered: fraction of the unhinted→oracle IPC gap closed by assigned hints)\n\n")
+
+		t2 := stats.NewTable("Ambiguous examples: speculation vs hint fallback",
+			"program", "policy", "cycles", "IPC", "misroutes", "spec misroutes")
+		for _, img := range exImgs {
+			for _, leg := range exampleLegs {
+				lr, err := r.resultOf(ctx, img.point(leg))
+				if err != nil {
+					return "", err
+				}
+				t2.AddRow(img.name, leg.name, lr.Cycles,
+					fmt.Sprintf("%.3f", lr.IPC()), lr.Misroutes, lr.SpecMisroutes)
+			}
+		}
+		b.WriteString(t2.Render())
+		b.WriteString("(spec1/spec2 carry no provable accesses: \"assigned\" degenerates to the\npredictor fallback, and only speculate-local steering closes on the oracle)\n")
+		return b.String(), nil
+	}
+	return grid, render, nil
 }

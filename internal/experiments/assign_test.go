@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -24,9 +25,10 @@ func TestAssignAblationAcceptance(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
+			img := strippedImages(w, r.Scale)
 			res := map[string]float64{}
 			for _, leg := range assignLegs {
-				lr, err := assignLegResult(r, w, leg)
+				lr, err := r.resultOf(context.Background(), workloadPoint(w, img, leg))
 				if err != nil {
 					t.Fatal(err)
 				}

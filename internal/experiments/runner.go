@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -49,7 +50,7 @@ type Runner struct {
 
 	// testRun, when non-nil, replaces the core simulation call; tests use
 	// it to inject panics, failures and slow runs.
-	testRun func(w workload.Workload, cfg config.Config) (*core.Result, error)
+	testRun func(prog *asm.Program, cfg config.Config) (*core.Result, error)
 }
 
 // NewRunner returns a Runner at the given workload scale.
@@ -91,9 +92,6 @@ func (r *Runner) Result(w workload.Workload, cfg config.Config) (*core.Result, e
 // by ctx: cancellation ends the simulation with a typed *simerr.SimError.
 func (r *Runner) ResultCtx(ctx context.Context, w workload.Workload, cfg config.Config) (*core.Result, error) {
 	res, err := r.cachedRun(cfgKey(w.Name, cfg), w.Name, cfg, func() (*core.Result, error) {
-		if r.testRun != nil {
-			return r.testRun(w, cfg)
-		}
 		return r.runProgram(ctx, r.program(w), cfg)
 	})
 	if err != nil {
@@ -112,9 +110,6 @@ func (r *Runner) ResultCtx(ctx context.Context, w workload.Workload, cfg config.
 // panic containment.
 func (r *Runner) ResultOptsCtx(ctx context.Context, w workload.Workload, cfg config.Config, opts core.RunOptions) (*core.Result, error) {
 	run := func() (*core.Result, error) {
-		if r.testRun != nil {
-			return r.testRun(w, cfg)
-		}
 		return r.runProgramOpts(ctx, r.program(w), cfg, opts)
 	}
 	var res *core.Result
@@ -257,6 +252,9 @@ func (r *Runner) runProgram(ctx context.Context, prog *asm.Program, cfg config.C
 
 // runProgramOpts constructs and runs one core simulation under opts.
 func (r *Runner) runProgramOpts(ctx context.Context, prog *asm.Program, cfg config.Config, opts core.RunOptions) (*core.Result, error) {
+	if r.testRun != nil {
+		return r.testRun(prog, cfg)
+	}
 	c, err := core.New(prog, cfg)
 	if err != nil {
 		return nil, err
@@ -283,46 +281,30 @@ func (r *Runner) Profile(w workload.Workload) (*profile.Profile, error) {
 	return p, nil
 }
 
+// profilesOf returns the functional profile of every workload in ws
+// (cached), one workload per CPU.
+func (r *Runner) profilesOf(ws []workload.Workload) ([]*profile.Profile, error) {
+	return batch(len(ws), func(i int) (*profile.Profile, error) {
+		return r.Profile(ws[i])
+	})
+}
+
 // Prefetch runs the given (workload, config) pairs concurrently to warm
 // the cache, bounded by par simultaneous simulations. Every failure is
-// reported: the returned error joins the errors of all failed runs.
+// reported: the returned error joins the errors of all failed runs, in
+// pair order.
 func (r *Runner) Prefetch(pairs []Pair, par int) error {
 	return r.PrefetchCtx(context.Background(), pairs, par)
 }
 
 // PrefetchCtx is Prefetch bounded by ctx: once the context is cancelled no
-// further simulations start, and the context error joins the result. The
-// semaphore is acquired before each worker goroutine is spawned, so at most
-// par goroutines (not one per pair) ever exist at once.
+// further simulations start, and the context error joins the result.
 func (r *Runner) PrefetchCtx(ctx context.Context, pairs []Pair, par int) error {
-	if par < 1 {
-		par = 1
+	pts := make([]point, len(pairs))
+	for i, p := range pairs {
+		pts[i] = point{w: p.W, cfg: p.Cfg}
 	}
-	sem := make(chan struct{}, par)
-	errCh := make(chan error, len(pairs))
-	var wg sync.WaitGroup
-	for _, p := range pairs {
-		if err := ctx.Err(); err != nil {
-			errCh <- err
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(p Pair) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, err := r.ResultCtx(ctx, p.W, p.Cfg); err != nil {
-				errCh <- err
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(errCh)
-	var errs []error
-	for err := range errCh {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
+	return r.simulateAll(ctx, pts, par)
 }
 
 // Pair names one simulation.
@@ -331,17 +313,115 @@ type Pair struct {
 	Cfg config.Config
 }
 
+// point is one simulation of an experiment's grid: workload w under cfg,
+// or, when prog is set, the program image prog under cfg in
+// ResultProgram's key space, cached as name.
+type point struct {
+	w    workload.Workload
+	name string
+	prog *asm.Program
+	cfg  config.Config
+}
+
+// cross is the grid of every workload in ws under every config in cfgs.
+func cross(ws []workload.Workload, cfgs ...config.Config) []point {
+	pts := make([]point, 0, len(ws)*len(cfgs))
+	for _, w := range ws {
+		for _, c := range cfgs {
+			pts = append(pts, point{w: w, cfg: c})
+		}
+	}
+	return pts
+}
+
+// resultOf simulates p (cached).
+func (r *Runner) resultOf(ctx context.Context, p point) (*core.Result, error) {
+	if p.prog != nil {
+		return r.ResultProgramCtx(ctx, p.name, p.prog, p.cfg)
+	}
+	return r.ResultCtx(ctx, p.w, p.cfg)
+}
+
+// simulateAll runs every point of pts in one batch on at most par
+// workers; the returned error joins every failure in point order.
+func (r *Runner) simulateAll(ctx context.Context, pts []point, par int) error {
+	_, err := parallelFor(ctx, len(pts), par, func(i int) (*core.Result, error) {
+		return r.resultOf(ctx, pts[i])
+	})
+	return err
+}
+
+// parallelFor calls f(i) for every i in [0, n) on at most par goroutines
+// and returns the results in index order, with the errors joined in index
+// order, whatever order the calls finish in. Each goroutine is spawned
+// only once it holds a slot, so at most par exist at once. Once ctx is
+// cancelled no further calls start, and the context error joins the
+// result.
+func parallelFor[T any](ctx context.Context, n, par int, f func(i int) (T, error)) ([]T, error) {
+	if par < 1 {
+		par = 1
+	}
+	out := make([]T, n)
+	errs := make([]error, n)
+	sem := make(chan struct{}, par)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+			break
+		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			out[i], errs[i] = f(i)
+		}(i)
+	}
+	wg.Wait()
+	return out, errors.Join(errs...)
+}
+
+// batch is parallelFor with one worker per CPU, the bound every
+// experiment's batch runs on.
+func batch[T any](n int, f func(i int) (T, error)) ([]T, error) {
+	return parallelFor(context.Background(), n, runtime.NumCPU(), f)
+}
+
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID          string
 	Title       string
 	Description string
-	Run         func(r *Runner) (string, error)
+	// Run regenerates the table or figure. An experiment that simulates
+	// runs its whole grid in one batch, one simulation per CPU, then
+	// renders serially from the runner's cache, so its text does not
+	// depend on the order the simulations finish in.
+	Run func(r *Runner) (string, error)
+
+	// plan, set on the experiments that simulate, builds Run.
+	plan planFunc
 }
+
+// planFunc declares every simulation an experiment reads and returns the
+// renderer that reads them back from the runner's cache.
+type planFunc func(r *Runner) (grid []point, render func() (string, error), err error)
 
 var experimentList []Experiment
 
 func registerExperiment(e Experiment) {
+	if plan := e.plan; plan != nil {
+		e.Run = func(r *Runner) (string, error) {
+			grid, render, err := plan(r)
+			if err != nil {
+				return "", err
+			}
+			if err := r.simulateAll(context.Background(), grid, runtime.NumCPU()); err != nil {
+				return "", err
+			}
+			return render()
+		}
+	}
 	experimentList = append(experimentList, e)
 }
 

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/asm"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/simerr"
@@ -76,19 +79,46 @@ func TestRunnerCacheHitsOnEqualConfigs(t *testing.T) {
 }
 
 // TestPrefetchAggregatesErrors checks that Prefetch reports every failed
-// run, not just an arbitrary one.
+// run, not just an arbitrary one, and joins the failures in pair order
+// whatever order the runs finish in: each pair's run here takes longer the
+// earlier the pair, so the runs finish in reverse.
 func TestPrefetchAggregatesErrors(t *testing.T) {
-	r := NewRunner(0.02)
-	ws := workload.Integers()[:2]
-	bad := config.Default()
-	bad.IssueWidth = 0 // fails validation in core.New
-	err := r.Prefetch([]Pair{{W: ws[0], Cfg: bad}, {W: ws[1], Cfg: bad}}, 2)
-	if err == nil {
-		t.Fatal("Prefetch with invalid configs returned nil error")
-	}
+	ws := workload.All()[:6]
+	var pairs []Pair
 	for _, w := range ws {
-		if !strings.Contains(err.Error(), w.Name) {
-			t.Errorf("aggregated error missing failure for %s: %v", w.Name, err)
+		pairs = append(pairs, Pair{W: w, Cfg: config.Default()})
+	}
+	var want string
+	for run := 0; run < 5; run++ {
+		r := NewRunner(0.02)
+		r.testRun = func(prog *asm.Program, _ config.Config) (*core.Result, error) {
+			for i, w := range ws {
+				if prog.Name == w.Name+".s" {
+					time.Sleep(time.Duration(len(ws)-i) * 2 * time.Millisecond)
+				}
+			}
+			return nil, errors.New("injected failure")
+		}
+		err := r.Prefetch(pairs, len(pairs))
+		if err == nil {
+			t.Fatal("Prefetch with failing runs returned nil error")
+		}
+		msg := err.Error()
+		last := -1
+		for _, w := range ws {
+			at := strings.Index(msg, w.Name+" under")
+			if at < 0 {
+				t.Fatalf("aggregated error missing failure for %s: %v", w.Name, err)
+			}
+			if at < last {
+				t.Fatalf("failures not joined in pair order (%s out of place): %v", w.Name, err)
+			}
+			last = at
+		}
+		if run == 0 {
+			want = msg
+		} else if msg != want {
+			t.Fatalf("run %d joined a different error text:\n%s\nwant:\n%s", run, msg, want)
 		}
 	}
 }
@@ -127,7 +157,7 @@ func TestRunnerPrefetchParallel(t *testing.T) {
 func TestRunnerPanickingRunReleasesWaiters(t *testing.T) {
 	r := NewRunner(0.02)
 	var calls atomic.Int32
-	r.testRun = func(workload.Workload, config.Config) (*core.Result, error) {
+	r.testRun = func(*asm.Program, config.Config) (*core.Result, error) {
 		calls.Add(1)
 		panic("test-injected core invariant violation")
 	}
@@ -176,7 +206,7 @@ func TestRunnerPanickingRunReleasesWaiters(t *testing.T) {
 	// The failed run must not poison the key: once the fault is gone, the
 	// same key simulates successfully.
 	want := &core.Result{}
-	r.testRun = func(workload.Workload, config.Config) (*core.Result, error) {
+	r.testRun = func(*asm.Program, config.Config) (*core.Result, error) {
 		return want, nil
 	}
 	got, err := r.Result(w, cfg)
@@ -192,7 +222,7 @@ func TestPrefetchBoundsGoroutines(t *testing.T) {
 	const par = 3
 	r := NewRunner(0.02)
 	var cur, peak atomic.Int32
-	r.testRun = func(workload.Workload, config.Config) (*core.Result, error) {
+	r.testRun = func(*asm.Program, config.Config) (*core.Result, error) {
 		n := cur.Add(1)
 		defer cur.Add(-1)
 		for {
@@ -229,5 +259,101 @@ func TestPrefetchBoundsGoroutines(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Errorf("goroutines leaked by Prefetch: %d before, %d after", before, after)
+	}
+}
+
+// lineCounter counts the lines written to it, from concurrent writers.
+type lineCounter struct {
+	mu    sync.Mutex
+	lines int
+}
+
+func (c *lineCounter) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.lines += strings.Count(string(b), "\n")
+	c.mu.Unlock()
+	return len(b), nil
+}
+
+func (c *lineCounter) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lines
+}
+
+// TestExperimentsRenderOnlyFromTheirBatch: every experiment that
+// simulates declares its whole grid, so once the grid has run, rendering
+// starts no simulation; a Progress line while it renders is a point
+// missing from the grid. An experiment without a grid must not simulate
+// at all. Each experiment gets a runner of its own, so a point another
+// experiment happened to run first cannot hide a gap. Which points an
+// experiment reads does not depend on the numbers it reads, so the core
+// is replaced by a stub, which keeps the test cheap; program generation,
+// profiling and analysis.Assign still run.
+func TestExperimentsRenderOnlyFromTheirBatch(t *testing.T) {
+	for _, e := range AllExperiments() {
+		r := NewRunner(0.01)
+		r.testRun = func(*asm.Program, config.Config) (*core.Result, error) {
+			return &core.Result{Stats: core.Stats{Cycles: 100, Committed: 100}}, nil
+		}
+		progress := &lineCounter{}
+		r.Progress = progress
+		render := func() (string, error) { return e.Run(r) }
+		if e.plan != nil {
+			grid, planned, err := e.plan(r)
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			if err := r.simulateAll(context.Background(), grid, runtime.NumCPU()); err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			if progress.count() == 0 {
+				t.Fatalf("%s: its grid reported no simulation", e.ID)
+			}
+			render = planned
+		}
+		ran := progress.count()
+		if _, err := render(); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if n := progress.count() - ran; n > 0 {
+			t.Errorf("%s: rendering ran %d simulations outside its grid", e.ID, n)
+		}
+	}
+}
+
+// TestOptimizationsInertWithoutLVC is the premise Figure 9 shares Figure
+// 7's (N+0) runs on: fast data forwarding and access combining act only on
+// the LVAQ, so on a machine without an LVC they change nothing.
+func TestOptimizationsInertWithoutLVC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates all workloads under six configurations")
+	}
+	r := NewRunner(0.01)
+	var pairs []Pair
+	for _, w := range workload.All() {
+		for n := 2; n <= 4; n++ {
+			pairs = append(pairs, Pair{W: w, Cfg: cfgNM(n, 0)}, Pair{W: w, Cfg: cfgNM(n, 0).WithOptimizations(2)})
+		}
+	}
+	if err := r.Prefetch(pairs, runtime.NumCPU()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		plain, err := r.Result(pairs[i].W, pairs[i].Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := r.Result(pairs[i+1].W, pairs[i+1].Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain == opt {
+			t.Fatalf("%s: %s and %s share one cache entry", pairs[i].W.Name, pairs[i].Cfg.Name(), pairs[i+1].Cfg.Name())
+		}
+		if !reflect.DeepEqual(plain, opt) {
+			t.Errorf("%s: %s and its optimized twin simulate differently (cycles %d vs %d)",
+				pairs[i].W.Name, pairs[i].Cfg.Name(), plain.Cycles, opt.Cycles)
+		}
 	}
 }

@@ -132,9 +132,10 @@ func DefaultConfig() *Config {
 		// plumbing, but their serialized output (/statz, job results, figure
 		// JSON, census) must be byte-stable.
 		OutputPackages: []string{"internal/serve", "internal/sweep"},
-		// The service worker pool and the sweep coordinator collect results
-		// from concurrent goroutines: arrival order must never reach a slice.
-		ConcPackages: []string{"internal/serve", "internal/sweep"},
+		// The service worker pool, the sweep coordinator and the
+		// experiment runner's batches collect results from concurrent
+		// goroutines: arrival order must never reach a slice.
+		ConcPackages: []string{"internal/serve", "internal/sweep", "internal/experiments"},
 		ErrPackages: []string{
 			"internal/core", "internal/serve", "internal/experiments",
 		},
