@@ -25,6 +25,8 @@ package asm
 
 import (
 	"fmt"
+	"math/bits"
+
 	"repro/internal/isa"
 )
 
@@ -51,16 +53,28 @@ type Program struct {
 	Symbols map[string]uint32
 }
 
-// InstAt returns the instruction at byte address pc.
+// instShift is log2(isa.InstBytes); the index expression fails to compile
+// if the two ever disagree.
+const instShift = 2
+
+var _ = [1]struct{}{}[isa.InstBytes-1<<instShift]
+
+// InstAt returns the instruction at byte address pc; ok is false when pc is
+// outside the text segment or not instruction-aligned.
+//
+// It is the emulator's fetch, so it makes one check: rotating pc's offset
+// from TextBase right by instShift turns the offset into the slot index
+// when it is aligned, and moves a misaligned remainder into the top two
+// bits otherwise, which puts the index at 2^30 or above, past any text
+// segment a 32-bit address space can hold. A pc below TextBase wraps to a
+// large offset, so the same unsigned comparison with len(Text) rejects all
+// three cases.
 func (p *Program) InstAt(pc uint32) (isa.Inst, bool) {
-	if pc < p.TextBase || (pc-p.TextBase)%isa.InstBytes != 0 {
+	i := uint(bits.RotateLeft32(pc-p.TextBase, -instShift))
+	if i >= uint(len(p.Text)) {
 		return isa.Inst{}, false
 	}
-	idx := (pc - p.TextBase) / isa.InstBytes
-	if int(idx) >= len(p.Text) {
-		return isa.Inst{}, false
-	}
-	return p.Text[idx], true
+	return p.Text[i], true
 }
 
 // TextEnd returns the first address past the text segment.

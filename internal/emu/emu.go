@@ -21,8 +21,12 @@ import (
 	"repro/internal/mem"
 )
 
-// ErrNoInst is returned when the PC leaves the text segment.
-var ErrNoInst = errors.New("emu: PC outside text segment")
+var (
+	// ErrNoInst is returned when the PC leaves the text segment.
+	ErrNoInst = errors.New("emu: PC outside text segment")
+	// ErrHalted is returned when a halted machine is stepped.
+	ErrHalted = errors.New("emu: machine is halted")
+)
 
 // Effect records the architectural effect of one executed instruction. The
 // timing core uses it to know the true next PC and the effective address
@@ -104,17 +108,23 @@ func (m *Machine) Step() (Effect, error) {
 
 // StepInto is Step writing the effect into storage the caller owns, so a
 // front end that buffers effects fills its slots in place instead of
-// copying each one out through a return value. On error the machine has
-// not advanced and *ef holds no meaningful effect.
+// copying each one out through a return value. It stores every field of
+// *ef, so a reused slot keeps nothing of the effect it held before. On
+// error the machine has not advanced and *ef holds no meaningful effect.
+//
+//ddvet:hotpath
 func (m *Machine) StepInto(ef *Effect) error {
 	if m.Halted {
-		return errors.New("emu: machine is halted")
+		return ErrHalted
 	}
-	in, ok := m.Prog.InstAt(m.PC)
+	pc := m.PC
+	in, ok := m.Prog.InstAt(pc)
 	if !ok {
-		return fmt.Errorf("%w: pc=%#x", ErrNoInst, m.PC)
+		//ddvet:allow hotpath-fmt -- fault path: the PC left the text segment, which ends the run
+		return fmt.Errorf("%w: pc=%#x", ErrNoInst, pc) //ddvet:allow hotpath-escape -- boxing the fault's PC, once per run
 	}
-	*ef = Effect{PC: m.PC, Inst: in, NextPC: m.PC + isa.InstBytes}
+	ef.PC, ef.Inst, ef.NextPC = pc, in, pc+isa.InstBytes
+	ef.Addr, ef.Bytes, ef.Taken = 0, 0, false
 
 	switch in.Op {
 	case isa.NOP:
@@ -220,41 +230,45 @@ func (m *Machine) StepInto(ef *Effect) error {
 	case isa.FCEQ:
 		m.setGPR(in.Rd, b2i(m.fpr(in.Rs) == m.fpr(in.Rt)))
 
-	case isa.LB, isa.LBU, isa.LH, isa.LHU, isa.LW, isa.FLW, isa.FLD:
-		addr := uint32(m.gpr(in.Rs) + in.Imm)
-		ef.Addr, ef.Bytes = addr, uint8(in.MemBytes())
-		switch in.Op {
-		case isa.LB:
-			m.setGPR(in.Rd, int32(int8(m.Mem.LoadByte(addr))))
-		case isa.LBU:
-			m.setGPR(in.Rd, int32(m.Mem.LoadByte(addr)))
-		case isa.LH:
-			m.setGPR(in.Rd, int32(int16(m.Mem.ReadUint16(addr))))
-		case isa.LHU:
-			m.setGPR(in.Rd, int32(m.Mem.ReadUint16(addr)))
-		case isa.LW:
-			m.setGPR(in.Rd, int32(m.Mem.ReadUint32(addr)))
-		case isa.FLW:
-			m.setFPR(in.Rd, float64(math.Float32frombits(m.Mem.ReadUint32(addr))))
-		case isa.FLD:
-			m.setFPR(in.Rd, math.Float64frombits(m.Mem.ReadUint64(addr)))
-		}
+	// Loads and stores record the access in the effect; each case sets
+	// its width as a constant (isa's OpInfo.MemBytes for the opcode).
+	case isa.LB:
+		ef.Addr, ef.Bytes = m.ea(in), 1
+		m.setGPR(in.Rd, int32(int8(m.Mem.LoadByte(ef.Addr))))
+	case isa.LBU:
+		ef.Addr, ef.Bytes = m.ea(in), 1
+		m.setGPR(in.Rd, int32(m.Mem.LoadByte(ef.Addr)))
+	case isa.LH:
+		ef.Addr, ef.Bytes = m.ea(in), 2
+		m.setGPR(in.Rd, int32(int16(m.Mem.ReadUint16(ef.Addr))))
+	case isa.LHU:
+		ef.Addr, ef.Bytes = m.ea(in), 2
+		m.setGPR(in.Rd, int32(m.Mem.ReadUint16(ef.Addr)))
+	case isa.LW:
+		ef.Addr, ef.Bytes = m.ea(in), 4
+		m.setGPR(in.Rd, int32(m.Mem.ReadUint32(ef.Addr)))
+	case isa.FLW:
+		ef.Addr, ef.Bytes = m.ea(in), 4
+		m.setFPR(in.Rd, float64(math.Float32frombits(m.Mem.ReadUint32(ef.Addr))))
+	case isa.FLD:
+		ef.Addr, ef.Bytes = m.ea(in), 8
+		m.setFPR(in.Rd, math.Float64frombits(m.Mem.ReadUint64(ef.Addr)))
 
-	case isa.SB, isa.SH, isa.SW, isa.FSW, isa.FSD:
-		addr := uint32(m.gpr(in.Rs) + in.Imm)
-		ef.Addr, ef.Bytes = addr, uint8(in.MemBytes())
-		switch in.Op {
-		case isa.SB:
-			m.Mem.StoreByte(addr, byte(m.gpr(in.Rt)))
-		case isa.SH:
-			m.Mem.WriteUint16(addr, uint16(m.gpr(in.Rt)))
-		case isa.SW:
-			m.Mem.WriteUint32(addr, uint32(m.gpr(in.Rt)))
-		case isa.FSW:
-			m.Mem.WriteUint32(addr, math.Float32bits(float32(m.fpr(in.Rt))))
-		case isa.FSD:
-			m.Mem.WriteUint64(addr, math.Float64bits(m.fpr(in.Rt)))
-		}
+	case isa.SB:
+		ef.Addr, ef.Bytes = m.ea(in), 1
+		m.Mem.StoreByte(ef.Addr, byte(m.gpr(in.Rt)))
+	case isa.SH:
+		ef.Addr, ef.Bytes = m.ea(in), 2
+		m.Mem.WriteUint16(ef.Addr, uint16(m.gpr(in.Rt)))
+	case isa.SW:
+		ef.Addr, ef.Bytes = m.ea(in), 4
+		m.Mem.WriteUint32(ef.Addr, uint32(m.gpr(in.Rt)))
+	case isa.FSW:
+		ef.Addr, ef.Bytes = m.ea(in), 4
+		m.Mem.WriteUint32(ef.Addr, math.Float32bits(float32(m.fpr(in.Rt))))
+	case isa.FSD:
+		ef.Addr, ef.Bytes = m.ea(in), 8
+		m.Mem.WriteUint64(ef.Addr, math.Float64bits(m.fpr(in.Rt)))
 
 	case isa.BEQ:
 		m.branch(ef, m.gpr(in.Rs) == m.gpr(in.Rt))
@@ -276,30 +290,38 @@ func (m *Machine) StepInto(ef *Effect) error {
 	case isa.J:
 		ef.NextPC = uint32(in.Imm)
 	case isa.JAL:
-		m.setGPR(isa.RegRA, int32(m.PC+isa.InstBytes))
+		m.setGPR(isa.RegRA, int32(pc+isa.InstBytes))
 		ef.NextPC = uint32(in.Imm)
 	case isa.JR:
 		ef.NextPC = uint32(m.gpr(in.Rs))
 	case isa.JALR:
-		ret := int32(m.PC + isa.InstBytes)
+		ret := int32(pc + isa.InstBytes)
 		ef.NextPC = uint32(m.gpr(in.Rs))
 		m.setGPR(in.Rd, ret)
 
 	case isa.HALT:
 		m.Halted = true
-		ef.NextPC = m.PC
+		ef.NextPC = pc
 	case isa.OUT:
+		//ddvet:allow hotpath-append -- OUT is the ISA's output channel, run once per printed value rather than per instruction; the slice grows by doubling
 		m.Output = append(m.Output, int64(m.gpr(in.Rs)))
 	case isa.FOUT:
+		//ddvet:allow hotpath-append -- FOUT is the ISA's output channel, run once per printed value rather than per instruction; the slice grows by doubling
 		m.FOutput = append(m.FOutput, m.fpr(in.Rs))
 
 	default:
-		return fmt.Errorf("emu: unimplemented opcode %v at pc=%#x", in.Op, m.PC)
+		//ddvet:allow hotpath-fmt -- fault path: an opcode the emulator does not implement ends the run
+		return fmt.Errorf("emu: unimplemented opcode %v at pc=%#x", in.Op, pc) //ddvet:allow hotpath-escape -- boxing the fault's opcode and PC, once per run
 	}
 
 	m.PC = ef.NextPC
 	m.InstCount++
 	return nil
+}
+
+// ea returns a load or store's effective address, base plus displacement.
+func (m *Machine) ea(in isa.Inst) uint32 {
+	return uint32(m.gpr(in.Rs) + in.Imm)
 }
 
 func (m *Machine) branch(ef *Effect, taken bool) {

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -455,8 +456,29 @@ func TestPCOutsideText(t *testing.T) {
 
 func TestStepAfterHalt(t *testing.T) {
 	m := run(t, "\t.text\nmain:\n\thalt\n")
-	if _, err := m.Step(); err == nil {
-		t.Error("step after halt did not error")
+	if _, err := m.Step(); !errors.Is(err, ErrHalted) {
+		t.Errorf("step after halt: err = %v, want ErrHalted", err)
+	}
+}
+
+// TestMemoryEffectWidths steps every load and store opcode once: each
+// case in StepInto sets its access width as a constant, and it must equal
+// the ISA's MemBytes for that opcode, with the address base plus
+// displacement.
+func TestMemoryEffectWidths(t *testing.T) {
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		in := isa.Inst{Op: op, Rd: isa.RegT0, Rs: isa.RegSP, Rt: isa.RegA0, Imm: -12}
+		if !in.IsMem() {
+			continue
+		}
+		m := New(&asm.Program{Entry: isa.TextBase, TextBase: isa.TextBase, Text: []isa.Inst{in}})
+		var ef Effect
+		if err := m.StepInto(&ef); err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		if int(ef.Bytes) != in.MemBytes() || ef.Addr != isa.StackBase-12 {
+			t.Errorf("%v: effect addr %#x, %d bytes; want %#x, %d", op, ef.Addr, ef.Bytes, isa.StackBase-12, in.MemBytes())
+		}
 	}
 }
 

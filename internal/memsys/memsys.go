@@ -3,7 +3,7 @@
 // access stream — its access queue (a ring buffer of in-flight entries),
 // the cache it feeds, the per-cycle port arbitration state of that cache,
 // and the stream's statistics counters — behind a small API the pipeline
-// drives (Dispatch, Process, CommitStore, Retire, Drain, Occupancy).
+// drives (Dispatch, Grant, CommitStore, Retire, Drain, Occupancy).
 //
 // The paper's LVAQ/LVC + LSQ/L1 organization is the N = 2 instance: the
 // core builds one Stream per config.StreamSpec and steers each memory

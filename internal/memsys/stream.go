@@ -163,16 +163,6 @@ func (s *Stream) Remove(now uint64, e Entry) {
 	s.combineLeft = 0
 }
 
-// Process walks the queue in program order, calling fn with each entry and
-// its position. fn must not add or remove entries.
-//
-//ddvet:hotpath
-func (s *Stream) Process(fn func(pos int, e Entry)) {
-	for i := 0; i < s.Queue.Len(); i++ {
-		fn(i, s.Queue.At(i))
-	}
-}
-
 // Grant arbitrates a cache port for one access at queue position pos this
 // cycle. A granted access on a combining stream opens a combining window:
 // up to CombineWidth-1 further same-kind accesses to the same line within

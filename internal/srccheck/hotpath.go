@@ -8,8 +8,9 @@ import (
 
 // checkHotpath gates the zero-steady-state-allocation claim of the
 // event-driven engine: every function annotated //ddvet:hotpath (the cycle
-// body and its stages, memsys Grant/Process, the sched heap ops) is checked
-// two ways.
+// body and its stages, memsys Grant/CommitStore/Retire, the sched heap
+// ops, the emulator's StepInto and the memory accessors it calls) is
+// checked two ways.
 //
 // AST rules flag constructs that allocate by construction:
 //
