@@ -1,5 +1,4 @@
-// Command ddbench regenerates the paper's tables and figures, measures
-// simulator throughput, and gates performance regressions.
+// Command ddbench regenerates the paper's tables and figures.
 //
 // Usage:
 //
@@ -7,25 +6,11 @@
 //	ddbench -exp fig7 -scale 0.5
 //	ddbench -exp all -scale 1.0 -v
 //	ddbench -exp all -scale 0.1 -timeout 10m -maxcycles 50000000
-//	ddbench -json -scale 0.1 > BENCH.json          # simulator-performance snapshot
-//	ddbench -compare BENCH_6.json -comparewith BENCH_7.json   # gate two snapshots
-//	ddbench -compare BENCH_7.json                  # gate a fresh run vs a snapshot
 //
 // -timeout bounds the whole invocation in wall-clock time and -maxcycles
 // bounds each individual simulation; either abort exits non-zero with the
 // typed failure and, when available, the pipeline snapshot of the run that
 // tripped — always on stderr, so stdout stays parseable.
-//
-// -compare reads a committed ddbench/v1 baseline and exits 1 when
-// aggregate Minst/s dropped by more than -tolerance (default 5%) in the
-// candidate (-comparewith file, or a fresh benchmark at the baseline's
-// scale). Changed deterministic cycle counts are flagged per workload;
-// with -cyclecheck any such change also fails the gate, which is how CI
-// asserts the tick and event engines simulate the identical machine.
-// Exit codes distinguish the gate's verdict from unusable input: 1 means
-// the candidate regressed (the change is at fault), 2 means a report was
-// unreadable, schema-mismatched or scale-incomparable (the invocation is
-// at fault and retrying without fixing it cannot succeed).
 //
 // -engine selects the run loop (event cycle skipping by default, tick for
 // the per-cycle reference); -cpuprofile, -memprofile and -trace capture
@@ -35,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -46,16 +30,10 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id or 'all'")
-		scale   = flag.Float64("scale", 1.0, "workload scale factor")
-		list    = flag.Bool("list", false, "list experiments and exit")
-		bench   = flag.Bool("json", false, "benchmark simulator throughput per workload and emit the ddbench/v1 JSON report")
-		verb    = flag.Bool("v", false, "print per-simulation progress")
-		compare = flag.String("compare", "", "baseline ddbench/v1 report: compare and gate regressions instead of running experiments")
-		against = flag.String("comparewith", "", "candidate report for -compare (empty = run a fresh benchmark at the baseline's scale)")
-		tol     = flag.Float64("tolerance", 0.05, "allowed fractional aggregate Minst/s drop for -compare")
-		cycheck = flag.Bool("cyclecheck", false, "with -compare: also fail when any workload's deterministic cycle count changed")
-		reps    = flag.Int("reps", 1, "with -json: repetitions per workload, fastest kept (noise floor for snapshots)")
+		exp   = flag.String("exp", "all", "experiment id or 'all'")
+		scale = flag.Float64("scale", 1.0, "workload scale factor")
+		list  = flag.Bool("list", false, "list experiments and exit")
+		verb  = flag.Bool("v", false, "print per-simulation progress")
 	)
 	budget := cliutil.RegisterBudget(flag.CommandLine)
 	engineFlag := cliutil.RegisterEngine(flag.CommandLine)
@@ -75,23 +53,6 @@ func main() {
 	if *list {
 		for _, e := range experiments.AllExperiments() {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
-	if *compare != "" {
-		code := runCompare(os.Stdout, os.Stderr, *compare, *against, *tol, *cycheck, engine)
-		stopProfiles()
-		os.Exit(code)
-	}
-
-	if *bench {
-		rep, err := experiments.BenchEngineReps(*scale, engine, *reps)
-		if err != nil {
-			cliutil.FatalSim("ddbench", err)
-		}
-		if err := rep.EncodeJSON(os.Stdout); err != nil {
-			cliutil.FatalSim("ddbench", err)
 		}
 		return
 	}
@@ -116,57 +77,11 @@ func main() {
 
 	for _, e := range selected {
 		start := time.Now()
-		out, err := e.Run(r)
-		if err != nil {
-			cliutil.FatalSim("ddbench: "+e.ID, err)
+		if err := experiments.WriteReports(os.Stdout, r, e); err != nil {
+			cliutil.FatalSim("ddbench", err)
 		}
-		fmt.Printf("==> %s — %s\n", e.ID, e.Title)
-		fmt.Println(out)
 		if *verb {
 			fmt.Fprintf(os.Stderr, "  [%s took %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
-}
-
-// runCompare executes the perf-regression gate and returns the exit
-// code: 0 within tolerance; ExitRunFailure (1) on a regression, on a
-// cyclecheck mismatch, or when the fresh candidate benchmark itself
-// failed; ExitUsage (2) when a report is unreadable, schema-mismatched
-// or scale-incomparable. The report goes to stdout either way; all
-// diagnostics to stderr.
-func runCompare(stdout, stderr io.Writer, baselinePath, candidatePath string, tolerance float64, cyclecheck bool, engine core.Engine) int {
-	baseline, err := experiments.ReadBenchReport(baselinePath)
-	if err != nil {
-		cliutil.ReportSim(stderr, "ddbench", err)
-		return cliutil.ExitUsage
-	}
-	var candidate *experiments.BenchReport
-	if candidatePath != "" {
-		if candidate, err = experiments.ReadBenchReport(candidatePath); err != nil {
-			cliutil.ReportSim(stderr, "ddbench", err)
-			return cliutil.ExitUsage
-		}
-	} else {
-		fmt.Fprintf(stderr, "ddbench: benchmarking fresh candidate at scale %g\n", baseline.Scale)
-		if candidate, err = experiments.BenchEngine(baseline.Scale, engine); err != nil {
-			// The simulation failed, not the invocation: a run failure.
-			cliutil.ReportSim(stderr, "ddbench", err)
-			return cliutil.ExitRunFailure
-		}
-	}
-	cmp, err := experiments.CompareBench(baseline, candidate)
-	if err != nil {
-		// ErrBadReport / ErrScaleMismatch: the inputs are not comparable.
-		cliutil.ReportSim(stderr, "ddbench", err)
-		return cliutil.ExitUsage
-	}
-	fmt.Fprint(stdout, cmp.Render(tolerance))
-	if cmp.Regressed(tolerance) {
-		return cliutil.ExitRunFailure
-	}
-	if cyclecheck && cmp.AnyCyclesChanged() {
-		fmt.Fprintln(stdout, "CYCLE MISMATCH: deterministic cycle counts differ between the reports")
-		return cliutil.ExitRunFailure
-	}
-	return 0
 }

@@ -27,8 +27,8 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cliutil"
-	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -65,27 +65,13 @@ func main() {
 		return
 	}
 
-	n, m, err := config.ParseNM(*ports)
+	cfg, err := experiments.GridPoint{
+		Ports: *ports, Steering: *steer, Opt: *opt, Combine: *combine,
+		StaticOpt: *static, MaxInsts: *maxInst,
+	}.Config()
 	if err != nil {
 		fatal(err)
 	}
-	cfg := config.Default().WithPorts(n, m)
-	if *opt || *static {
-		cfg = cfg.WithOptimizations(2)
-	}
-	if *combine > 0 {
-		cfg.CombineWidth = *combine
-	}
-	if *static {
-		cfg.ForwardStatic = true
-		cfg.CombineStatic = cfg.CombineWidth > 1
-	}
-	steering, err := config.ParseSteering(*steer)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Steering = steering
-	cfg.MaxInsts = *maxInst
 
 	var prog *asm.Program
 	switch {

@@ -59,10 +59,10 @@ func (b *Budget) RunOptions() core.RunOptions {
 }
 
 // Shared exit codes. The split matters to CI and scripts: exit 1 means
-// the run itself failed or regressed (re-running or investigating the
-// change may help); exit 2 means the invocation is wrong — bad flags, an
-// unreadable or schema-mismatched input — and retrying without fixing it
-// cannot succeed.
+// the run itself failed (re-running or investigating the change may
+// help); exit 2 means the invocation is wrong — bad flags, an unreadable
+// or schema-mismatched input — and retrying without fixing it cannot
+// succeed.
 const (
 	ExitRunFailure = 1
 	ExitUsage      = 2

@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -12,6 +17,10 @@ import (
 	"repro/internal/simerr"
 	"repro/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/results-scale0.02.txt")
+
+const resultGoldenPath = "testdata/results-scale0.02.txt"
 
 // runEngine builds a fresh core for (workload, cfg) and runs it on the
 // given engine. Each engine gets its own core: the comparison is between
@@ -22,9 +31,14 @@ func runEngine(t *testing.T, name string, scale float64, cfg config.Config, e En
 	if err != nil {
 		t.Fatalf("workload %s: %v", name, err)
 	}
-	c, err := New(w.Program(scale), cfg)
+	return runProgram(t, w.Program(scale), cfg, e)
+}
+
+func runProgram(t *testing.T, prog *asm.Program, cfg config.Config, e Engine) (*Result, error) {
+	t.Helper()
+	c, err := New(prog, cfg)
 	if err != nil {
-		t.Fatalf("New(%s): %v", name, err)
+		t.Fatalf("New(%s): %v", prog.Name, err)
 	}
 	return c.RunWith(context.Background(), RunOptions{Engine: e})
 }
@@ -43,33 +57,99 @@ func memBoundConfig() config.Config {
 // TestEngineIdentityAllWorkloads is the differential harness for the
 // event-driven engine: on every workload, for a spread of machine
 // configurations (unified, decoupled, decoupled with both §2.2.2
-// optimizations, and a memory-bound cache geometry), the event engine
+// optimizations, a memory-bound cache geometry, ablation-lvaq's 8-entry
+// LVAQ and dual steering of hint-stripped programs), the event engine
 // must produce a Result that is bit-identical to the tick engine's —
 // cycles, every stall counter, every occupancy integral, every cache
 // statistic.
+//
+// Identical engines can still share a timing bug, so each Result is also
+// pinned: its line must equal the one in testdata/results-scale0.02.txt.
+// Regenerate that file with -update only after a deliberate change to the
+// timing model or to the workloads.
 func TestEngineIdentityAllWorkloads(t *testing.T) {
+	lvaq8 := config.Default().WithPorts(3, 2).WithOptimizations(2)
+	lvaq8.LVAQSize = 8
+	dual := config.Default().WithPorts(3, 2)
+	dual.Steering = config.SteerDual
 	configs := []struct {
-		name string
-		cfg  config.Config
+		name  string
+		cfg   config.Config
+		strip bool // run the program with its access-region hints removed
 	}{
-		{"unified(4+0)", config.Default().WithPorts(4, 0)},
-		{"decoupled(3+2)", config.Default().WithPorts(3, 2)},
-		{"optimized(3+2)", config.Default().WithPorts(3, 2).WithOptimizations(2)},
-		{"mem-bound(2+2)", memBoundConfig()},
+		{"unified(4+0)", config.Default().WithPorts(4, 0), false},
+		{"decoupled(3+2)", config.Default().WithPorts(3, 2), false},
+		{"optimized(3+2)", config.Default().WithPorts(3, 2).WithOptimizations(2), false},
+		{"mem-bound(2+2)", memBoundConfig(), false},
+		{"optimized-lvaq8(3+2)", lvaq8, false},
+		{"dual-stripped(3+2)", dual, true},
 	}
 	scale := 0.02
-	for _, w := range workload.All() {
-		for _, tc := range configs {
-			t.Run(w.Name+"/"+tc.name, func(t *testing.T) {
+	golden := readResultGolden(t)
+	ws := workload.All()
+	lines := make([]string, len(ws)*len(configs))
+	if *update {
+		t.Cleanup(func() { writeResultGolden(t, lines) })
+	}
+	for i, w := range ws {
+		for j, tc := range configs {
+			name := w.Name + "/" + tc.name
+			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				tick, terr := runEngine(t, w.Name, scale, tc.cfg, EngineTick)
-				event, eerr := runEngine(t, w.Name, scale, tc.cfg, EngineEvent)
+				prog := w.Program(scale)
+				if tc.strip {
+					prog = prog.StripHints()
+				}
+				tick, terr := runProgram(t, prog, tc.cfg, EngineTick)
+				event, eerr := runProgram(t, prog, tc.cfg, EngineEvent)
 				if terr != nil || eerr != nil {
 					t.Fatalf("run errors: tick=%v event=%v", terr, eerr)
 				}
 				assertResultsIdentical(t, tick, event)
+				line := resultLine(name, tick)
+				lines[i*len(configs)+j] = line
+				if want := golden[name]; !*update && line != want {
+					t.Errorf("Result drifted from %s:\n got:  %s\n want: %s", resultGoldenPath, line, want)
+				}
 			})
 		}
+	}
+}
+
+// resultLine is one run's line in the Result golden: the run's name, its
+// cycles and committed instructions, and the sha256 of every field of res.
+func resultLine(name string, res *Result) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", *res)))
+	return fmt.Sprintf("%s %d %d %x", name, res.Cycles, res.Committed, sum)
+}
+
+// readResultGolden maps each run's name to its line in the Result golden.
+func readResultGolden(t *testing.T) map[string]string {
+	t.Helper()
+	golden := map[string]string{}
+	if *update {
+		return golden
+	}
+	data, err := os.ReadFile(resultGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			golden[strings.Fields(line)[0]] = line
+		}
+	}
+	return golden
+}
+
+// writeResultGolden rewrites the Result golden from every run's line.
+func writeResultGolden(t *testing.T, lines []string) {
+	if slices.Contains(lines, "") {
+		t.Fatalf("-update needs every run to pass; %s is unchanged", resultGoldenPath)
+	}
+	out := "# workload/machine cycles committed sha256(fmt %+v of the Result)\n" + strings.Join(lines, "\n") + "\n"
+	if err := os.WriteFile(resultGoldenPath, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -445,3 +445,17 @@ func ByID(id string) (Experiment, error) {
 	}
 	return Experiment{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, id)
 }
+
+// WriteReports runs each experiment on r, in order, and writes its report
+// to w as `ddbench -exp` prints it: a "==> id — title" line, the rendered
+// text and a blank line. It stops at the first experiment that fails.
+func WriteReports(w io.Writer, r *Runner, exps ...Experiment) error {
+	for _, e := range exps {
+		out, err := e.Run(r)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		fmt.Fprintf(w, "==> %s — %s\n%s\n", e.ID, e.Title, out)
+	}
+	return nil
+}
