@@ -12,9 +12,8 @@
 // typed failure and, when available, the pipeline snapshot of the run that
 // tripped — always on stderr, so stdout stays parseable.
 //
-// -engine selects the run loop (event cycle skipping by default, tick for
-// the per-cycle reference); -cpuprofile, -memprofile and -trace capture
-// pprof/trace artifacts of the invocation.
+// -cpuprofile, -memprofile and -trace capture pprof/trace artifacts of
+// the invocation.
 package main
 
 import (
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -36,14 +34,9 @@ func main() {
 		verb  = flag.Bool("v", false, "print per-simulation progress")
 	)
 	budget := cliutil.RegisterBudget(flag.CommandLine)
-	engineFlag := cliutil.RegisterEngine(flag.CommandLine)
 	profiles := cliutil.RegisterProfiles(flag.CommandLine)
 	flag.Parse()
 
-	engine, err := core.ParseEngine(*engineFlag)
-	if err != nil {
-		cliutil.FatalSim("ddbench", err)
-	}
 	stopProfiles, err := profiles.Start()
 	if err != nil {
 		cliutil.FatalSim("ddbench", err)
@@ -62,7 +55,6 @@ func main() {
 		r.Progress = os.Stderr
 	}
 	r.RunOpts = budget.RunOptions()
-	r.RunOpts.Engine = engine
 
 	var selected []experiments.Experiment
 	if *exp == "all" {

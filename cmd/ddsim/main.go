@@ -13,10 +13,8 @@
 // the typed failure with its pipeline snapshot (cycle, ROB head, stream
 // queue heads, port/combining state).
 //
-// -engine selects the run loop: event (default) skips quiescent cycle
-// spans via the next-event scheduler, tick is the classic per-cycle
-// reference loop; both produce bit-identical results. -cpuprofile,
-// -memprofile and -exectrace capture pprof/trace artifacts of the run.
+// -cpuprofile, -memprofile and -exectrace capture pprof/trace artifacts
+// of the run.
 package main
 
 import (
@@ -49,14 +47,8 @@ func main() {
 		traceN  = flag.Int("trace", 0, "print a pipeline trace of the first N instructions")
 	)
 	budget := cliutil.RegisterBudget(flag.CommandLine)
-	engineFlag := cliutil.RegisterEngine(flag.CommandLine)
 	profiles := cliutil.RegisterProfilesExecTrace(flag.CommandLine)
 	flag.Parse()
-
-	engine, err := core.ParseEngine(*engineFlag)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *list {
 		for _, w := range workload.All() {
@@ -107,7 +99,6 @@ func main() {
 		c.SetTracer(rec)
 	}
 	opts := budget.RunOptions()
-	opts.Engine = engine
 	stopProfiles, err := profiles.Start()
 	if err != nil {
 		fatal(err)

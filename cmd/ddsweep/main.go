@@ -8,7 +8,7 @@
 //	ddsweep -spec fig5.json -backends http://a:8080,http://b:8080 -hedge 2s -census census.json
 //
 // The spec (sweep/v1) declares the grid — workloads x port geometries x
-// steering policies x engines x optimization modes, with explicit point
+// steering policies x optimization modes, with explicit point
 // exclusions — and ddsweep drives every expanded point to a terminal
 // state: health-probed load-aware dispatch, bounded retries with backoff
 // that honors the server's Retry-After, hedged requests for stragglers,

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-
-	"repro/internal/core"
 )
 
 // Profiles is the resolved value of the shared profiling flag trio
@@ -96,12 +94,4 @@ func (p *Profiles) Start() (stop func(), err error) {
 		})
 	}
 	return stop, nil
-}
-
-// RegisterEngine registers the -engine flag shared by ddsim and ddbench and
-// returns the destination string; resolve it with core.ParseEngine after
-// flag parsing.
-func RegisterEngine(fs *flag.FlagSet) *string {
-	return fs.String("engine", core.EngineEvent.String(),
-		"run-loop engine: event (next-event cycle skipping) or tick (classic per-cycle reference)")
 }

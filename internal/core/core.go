@@ -133,8 +133,8 @@ type uop struct {
 	// (processStream): for each stream whose queue holds this entry and
 	// for which pendingAccess is still true, the neighbours in program
 	// order. A dual-steered access is linked in both its streams.
-	pendNext, pendPrev [coreStreams]*uop
-	inPend             [coreStreams]bool
+	pendNext, pendPrev [memsys.MaxStreams]*uop
+	inPend             [memsys.MaxStreams]bool
 
 	// memWake lets the pending-access walk skip a load whose every
 	// memory-stage visit is provably a no-op until this cycle: a
@@ -166,13 +166,6 @@ type waitRef struct {
 	gen  uint32
 	slot uint8
 }
-
-// coreStreams is the most streams a core ever builds: the conventional
-// LSQ plus, on a decoupled machine, the LVAQ (config.Streams). Hot
-// per-uop and per-core arrays are sized by it rather than the roomier
-// memsys.MaxStreams so the dispatch-rate uop reset and the per-cycle
-// walks touch less memory; core.New enforces the bound.
-const coreStreams = 2
 
 // Fast-forward memo states.
 const (
@@ -357,13 +350,13 @@ type Core struct {
 	// match completes no earlier than the cycle its consumer load
 	// forwards from it). The one verdict that waits FOR a retire,
 	// osPartial, carries an explicit queue-liveness check instead.
-	qGen [coreStreams]uint64
+	qGen [memsys.MaxStreams]uint64
 
 	// pendHead/pendTail hold, per stream, the queued entries with
 	// memory-stage work left (pendingAccess), in program order.
 	// processStream walks only these — an entry with its access done is
 	// inert in the memory stage by construction.
-	pendHead, pendTail [coreStreams]*uop
+	pendHead, pendTail [memsys.MaxStreams]*uop
 
 	// sched collects future wake cycles (fill completions, agen latency,
 	// recovery-stall expiry, MSHR frees) for the event-driven engine;
@@ -784,7 +777,7 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 		Assoc: cfg.L2.Assoc, HitLatency: cfg.L2.HitLatency, MSHRs: 64,
 	}, c.mem)
 	c.growUopPool(3 * cfg.ROBSize)
-	if len(cfg.Streams()) > coreStreams {
+	if len(cfg.Streams()) > memsys.MaxStreams {
 		return nil, ErrTooManyStreams
 	}
 	for id, spec := range cfg.Streams() {

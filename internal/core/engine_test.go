@@ -303,6 +303,37 @@ func TestEngineIdentityUnderMaxCycles(t *testing.T) {
 	}
 }
 
+// TestEngineIdentityUnderBudget: the cycle budget must abort on the same
+// cycle with the same snapshot under both engines. The one load waits
+// three million cycles for memory, so the event engine's jump toward that
+// wake is clamped by the budget alone: it lands on the budget bound and
+// the next real cycle, 1000001, is the aborting one.
+func TestEngineIdentityUnderBudget(t *testing.T) {
+	const src = "\t.text\nmain:\n\tlw $t0, 0($t1)\n\taddi $t2, $t0, 1\n\thalt\n"
+	cfg := config.Default().WithPorts(2, 0)
+	cfg.MemLatency = 3_000_000
+	var snaps [2]simerr.Snapshot
+	for i, e := range []Engine{EngineTick, EngineEvent} {
+		c, err := New(compile(t, src), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rerr := c.RunWith(context.Background(), RunOptions{DisableWatchdog: true, Engine: e})
+		se, ok := rerr.(*simerr.SimError)
+		if !ok || se.Kind != simerr.KindBudget {
+			t.Fatalf("engine %v: err = %v, want KindBudget", e, rerr)
+		}
+		snaps[i] = se.Snapshot
+	}
+	if snaps[0].Cycle != 100*snaps[0].Committed+cycleSlack+1 {
+		t.Errorf("tick aborted at cycle %d with %d committed, want the first cycle past the budget",
+			snaps[0].Cycle, snaps[0].Committed)
+	}
+	if !reflect.DeepEqual(snaps[0], snaps[1]) {
+		t.Errorf("budget abort snapshots diverge:\n tick:  %+v\n event: %+v", snaps[0], snaps[1])
+	}
+}
+
 // TestWatchdogFiresAcrossSkippedGap: a livelocked pipeline (watchdog
 // window far below any real wake) must abort on exactly the same cycle
 // under both engines even when the event engine's jump would overshoot the
@@ -329,24 +360,5 @@ func TestWatchdogFiresAcrossSkippedGap(t *testing.T) {
 	}
 	if cycles[0] != cycles[1] {
 		t.Fatalf("watchdog fired on different cycles: tick=%d event=%d", cycles[0], cycles[1])
-	}
-}
-
-// TestEngineParse pins the flag grammar.
-func TestEngineParse(t *testing.T) {
-	if e, err := ParseEngine("tick"); err != nil || e != EngineTick {
-		t.Fatalf("ParseEngine(tick) = %v, %v", e, err)
-	}
-	if e, err := ParseEngine("event"); err != nil || e != EngineEvent {
-		t.Fatalf("ParseEngine(event) = %v, %v", e, err)
-	}
-	if e, err := ParseEngine(""); err != nil || e != EngineEvent {
-		t.Fatalf("ParseEngine(\"\") = %v, %v", e, err)
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Fatal("ParseEngine(warp) did not fail")
-	}
-	if EngineEvent.String() != "event" || EngineTick.String() != "tick" {
-		t.Fatal("Engine.String round-trip broken")
 	}
 }

@@ -20,55 +20,36 @@ import (
 const DefaultWatchdogCycles = 1_000_000
 
 // ctxCheckInterval is how often the run loop polls the context for
-// cancellation; a power of two so the check compiles to a mask. The tick
-// engine counts cycles, the event engine counts loop iterations (a skipped
-// gap consumes no wall-clock time, so iterations are the right unit there).
+// cancellation, in loop iterations; a power of two so the check compiles
+// to a mask. A skipped gap is one iteration: it consumes no wall-clock
+// time.
 const ctxCheckInterval = 1 << 10
 
 // cycleSlack is the legacy cycle safety budget: no workload should ever run
 // below 1/100 IPC, so a run is aborted once now > 100*committed + slack.
 const cycleSlack = 1_000_000
 
-// maxSkipChunk bounds one clock jump of the event engine so that a pipeline
-// with no registered wake (e.g. watchdog disabled and livelocked) still
-// returns to the loop to poll the context.
-const maxSkipChunk = 1 << 20
-
-// Engine selects the run loop.
+// Engine selects whether the run loop may skip quiescent cycles. Results
+// are bit-identical under both settings (the quiescence invariant,
+// DESIGN.md §12); EngineTick exists as the reference the differential
+// tests compare EngineEvent against.
 type Engine uint8
 
 const (
-	// EngineEvent (the default) is the next-event engine: when two
-	// consecutive cycles make no state transition, the clock jumps to the
-	// next registered wake and the per-cycle stall counters are replayed
-	// across the gap. Results are bit-identical to EngineTick (the
-	// quiescence invariant, DESIGN.md §12; asserted by the differential
-	// tests), only faster on stall-dominated workloads.
+	// EngineEvent (the default) skips: when two consecutive cycles make
+	// no state transition, the clock jumps to the next registered wake
+	// and the per-cycle stall counters are replayed across the gap.
 	EngineEvent Engine = iota
-	// EngineTick is the classic loop: one cycle() per clock, no skipping.
+	// EngineTick never skips: one cycle() per clock.
 	EngineTick
 )
 
-// String returns the flag spelling of e.
+// String returns "event" or "tick".
 func (e Engine) String() string {
 	if e == EngineTick {
 		return "tick"
 	}
 	return "event"
-}
-
-// ErrUnknownEngine: the -engine value names no run-loop engine.
-var ErrUnknownEngine = errors.New("core: unknown engine (want tick or event)")
-
-// ParseEngine parses a -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "event", "":
-		return EngineEvent, nil
-	case "tick":
-		return EngineTick, nil
-	}
-	return EngineEvent, fmt.Errorf("%w: %q", ErrUnknownEngine, s)
 }
 
 // RunOptions bounds and instruments one simulation run. The zero value
@@ -91,11 +72,11 @@ type RunOptions struct {
 	DisableWatchdog bool
 	// Injector, when non-nil, perturbs the run deterministically (see
 	// internal/faultinject). Nil injects nothing and costs nothing. An
-	// armed injector also pins the engine to tick-equivalent behaviour:
-	// BeginCycle must be called once per cycle for a campaign to replay
-	// deterministically, so the event engine never skips while it is set.
+	// armed injector also turns skipping off: BeginCycle must be called
+	// once per cycle for a campaign to replay deterministically.
 	Injector FaultInjector
-	// Engine selects the run loop; the zero value is EngineEvent.
+	// Engine selects whether the run loop skips quiescent cycles; the
+	// zero value, EngineEvent, does.
 	Engine Engine
 }
 
@@ -181,70 +162,31 @@ func (c *Core) RunWith(ctx context.Context, opts RunOptions) (res *Result, err e
 		}
 	}()
 
-	if opts.Engine == EngineTick {
-		return c.runTick(ctx, opts, watchdog)
-	}
-	return c.runEvent(ctx, opts, watchdog)
+	return c.run(ctx, opts, watchdog)
 }
 
-// runTick is the classic run loop: one cycle per clock tick, preserved
-// verbatim as the reference the event engine is differentially tested
-// against.
-func (c *Core) runTick(ctx context.Context, opts RunOptions, watchdog uint64) (*Result, error) {
-	lastCommitted, lastProgress := c.stats.Committed, c.now
-	for !c.done() {
-		c.cycle()
-		if c.stats.Committed != lastCommitted {
-			lastCommitted, lastProgress = c.stats.Committed, c.now
-			c.lastCommitCycle = c.now
-		} else if !opts.DisableWatchdog && c.now-lastProgress >= watchdog {
-			return nil, c.abort(simerr.KindWatchdog,
-				fmt.Sprintf("no instruction committed for %d cycles", watchdog), nil)
-		}
-		if opts.MaxCycles > 0 && c.now >= opts.MaxCycles {
-			return nil, c.abort(simerr.KindMaxCycles,
-				fmt.Sprintf("cycle cap %d reached", opts.MaxCycles), nil)
-		}
-		if c.now%ctxCheckInterval == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				kind := simerr.KindCanceled
-				reason := "run canceled"
-				if errors.Is(cerr, context.DeadlineExceeded) {
-					kind, reason = simerr.KindDeadline, "deadline exceeded"
-				}
-				return nil, c.abort(kind, reason, cerr)
-			}
-		}
-		if c.now > 100*c.stats.Committed+cycleSlack {
-			return nil, c.abort(simerr.KindBudget,
-				"cycle budget exhausted", ErrBudget)
-		}
-	}
-	return c.result(), nil
-}
-
-// runEvent is the next-event run loop. It executes cycles exactly like
-// runTick until it has seen two consecutive quiescent cycles — cycles in
-// which no state transition happened (c.progressed stayed false), only
-// per-cycle stall counters moved. The second such cycle is the
-// *representative* cycle: by the quiescence invariant (DESIGN.md §12),
-// every following cycle up to (exclusive) the earliest registered wake is
-// its exact repetition. The engine therefore jumps the clock to one cycle
-// before the next wake and multiplies the representative cycle's counter
-// deltas across the gap; the wake cycle itself executes for real.
+// run is the cycle loop. With skipping enabled it executes cycles one by
+// one until it has seen two consecutive quiescent cycles — cycles in which
+// no state transition happened (c.progressed stayed false), only per-cycle
+// stall counters moved. The second such cycle is the *representative*
+// cycle: by the quiescence invariant (DESIGN.md §12), every following
+// cycle up to (exclusive) the earliest registered wake is its exact
+// repetition. The loop therefore jumps the clock to one cycle before the
+// next wake and multiplies the representative cycle's counter deltas
+// across the gap; the wake cycle itself executes for real.
 //
 // Every abort boundary clamps the jump to land one cycle *before* it, so
 // the boundary cycle also executes for real and the abort fires with the
-// same cycle number, counters and pipeline snapshot the tick engine would
-// produce. With a fault injector armed the engine never skips (BeginCycle
-// must run every cycle for deterministic replay), making it tick-identical
-// by construction.
-func (c *Core) runEvent(ctx context.Context, opts RunOptions, watchdog uint64) (*Result, error) {
+// same cycle number, counters and pipeline snapshot as without skipping.
+// With a fault injector armed the loop never skips (BeginCycle must run
+// every cycle for deterministic replay).
+func (c *Core) run(ctx context.Context, opts RunOptions, watchdog uint64) (*Result, error) {
+	skip := opts.Engine == EngineEvent && c.fi == nil
 	lastCommitted, lastProgress := c.stats.Committed, c.now
 	prevQuiet := false
 	var iters uint64
 	for !c.done() {
-		canSkip := prevQuiet && c.fi == nil
+		canSkip := prevQuiet && skip
 		if canSkip {
 			c.snapStallCounters()
 		}
@@ -273,17 +215,20 @@ func (c *Core) runEvent(ctx context.Context, opts RunOptions, watchdog uint64) (
 				return nil, c.abort(kind, reason, cerr)
 			}
 		}
-		if c.now > 100*c.stats.Committed+cycleSlack {
+		// The budget aborts at the first cycle strictly greater than
+		// budget; it also bounds every jump, which is what keeps a
+		// pipeline with no registered wake polling the context.
+		budget := 100*c.stats.Committed + cycleSlack
+		if c.now > budget {
 			return nil, c.abort(simerr.KindBudget,
 				"cycle budget exhausted", ErrBudget)
 		}
 
 		if quiet && canSkip {
 			// Land one cycle before the earliest of: the next wake, the
-			// watchdog boundary, the cycle cap, the budget boundary, or
-			// the chunk bound (which keeps the ctx poll live when nothing
-			// else binds).
-			target := c.now + maxSkipChunk
+			// watchdog boundary and the cycle cap; landing exactly on the
+			// budget bound makes the next real cycle the aborting one.
+			target := budget
 			if w, ok := c.sched.Next(c.now); ok && w-1 < target {
 				target = w - 1
 			}
@@ -296,12 +241,6 @@ func (c *Core) runEvent(ctx context.Context, opts RunOptions, watchdog uint64) (
 				if b := opts.MaxCycles - 1; b < target {
 					target = b
 				}
-			}
-			// The budget aborts at the first cycle strictly greater than
-			// 100*committed+slack; landing exactly on the bound makes the
-			// next real cycle the aborting one.
-			if b := 100*c.stats.Committed + cycleSlack; b < target {
-				target = b
 			}
 			if target > c.now {
 				c.skipTo(target)

@@ -1,21 +1,20 @@
 // Grid points: the canonical mapping from one declarative sweep
-// coordinate (workload x port geometry x steering x engine x
-// optimizations) to the machine configuration it simulates. The service
-// layer (internal/serve) resolves submitted jobs through the same
-// mapping the sweep coordinator (internal/sweep) expands its grid with,
-// so a sweep point and the job it becomes can never drift apart.
+// coordinate (workload x port geometry x steering x optimizations) to
+// the machine configuration it simulates. The service layer
+// (internal/serve) resolves submitted jobs through the same mapping the
+// sweep coordinator (internal/sweep) expands its grid with, so a sweep
+// point and the job it becomes can never drift apart.
 package experiments
 
 import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/core"
 )
 
 // GridPoint is one coordinate of a sweep grid: everything that selects a
 // distinct simulation, in the vocabulary the CLIs and the service share
-// (port strings like "3+2", steering policy names, engine names).
+// (port strings like "3+2", steering policy names).
 type GridPoint struct {
 	// Workload names a built-in synthetic workload; empty for callers
 	// that only need the configuration half of the mapping.
@@ -24,8 +23,6 @@ type GridPoint struct {
 	Ports string
 	// Steering is the steering policy name ("" = hint).
 	Steering string
-	// Engine selects the run loop ("" = event).
-	Engine string
 	// Opt enables fast data forwarding and combining; Combine overrides
 	// the combining width; StaticOpt restricts both to statically-proven
 	// pairs/groups (implies Opt).
@@ -71,14 +68,6 @@ func (p GridPoint) Config() (config.Config, error) {
 	return cfg, nil
 }
 
-// RunEngine parses the point's engine selection.
-func (p GridPoint) RunEngine() (core.Engine, error) {
-	if p.Engine == "" {
-		return core.EngineEvent, nil
-	}
-	return core.ParseEngine(p.Engine)
-}
-
 // Key is the point's stable identity within a sweep: every dimension in
 // canonical form, "/"-joined. Points sort deterministically by it, and
 // the sweep checkpoint and figure JSON are keyed on it.
@@ -91,10 +80,6 @@ func (p GridPoint) Key() string {
 	if steer == "" {
 		steer = "hint"
 	}
-	engine := p.Engine
-	if engine == "" {
-		engine = "event"
-	}
 	mode := "base"
 	switch {
 	case p.StaticOpt:
@@ -102,7 +87,7 @@ func (p GridPoint) Key() string {
 	case p.Opt:
 		mode = "opt"
 	}
-	k := fmt.Sprintf("%s/%s/%s/%s/%s", p.Workload, ports, steer, engine, mode)
+	k := fmt.Sprintf("%s/%s/%s/%s", p.Workload, ports, steer, mode)
 	if p.Combine > 0 {
 		k += fmt.Sprintf("/c%d", p.Combine)
 	}

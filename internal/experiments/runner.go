@@ -100,34 +100,14 @@ func (r *Runner) ResultCtx(ctx context.Context, w workload.Workload, cfg config.
 	return res, nil
 }
 
-// ResultOptsCtx is ResultCtx with per-run RunOptions replacing the
-// runner's RunOpts for this run only. The result cache is shared with the
-// other Result variants: a completed run is deterministic regardless of
-// its budget, so budget-only option differences cannot poison the cache.
-// A run whose options carry a fault injector is the exception — injected
-// faults perturb timing on purpose — so injector-armed runs bypass the
-// cache entirely (neither hitting nor filling it) while keeping the same
-// panic containment.
-func (r *Runner) ResultOptsCtx(ctx context.Context, w workload.Workload, cfg config.Config, opts core.RunOptions) (*core.Result, error) {
-	run := func() (*core.Result, error) {
-		return r.runProgramOpts(ctx, r.program(w), cfg, opts)
-	}
-	var res *core.Result
-	var err error
-	if opts.Injector != nil {
-		res, err = r.containedRun(run)
-	} else {
-		res, err = r.cachedRun(cfgKey(w.Name, cfg), w.Name, cfg, run)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s under %s: %w", w.Name, cfg.Name(), err)
-	}
-	return res, nil
-}
-
-// ResultProgramOptsCtx is ResultProgramCtx with per-run RunOptions, under
-// the same cache rules as ResultOptsCtx (injector-armed runs are never
-// cached).
+// ResultProgramOptsCtx is ResultProgramCtx with per-run RunOptions
+// replacing the runner's RunOpts for this run only. The result cache is
+// shared with the other Result variants: a completed run is deterministic
+// regardless of its budget, so budget-only option differences cannot
+// poison the cache. A run whose options carry a fault injector is the
+// exception — injected faults perturb timing on purpose — so
+// injector-armed runs bypass the cache entirely (neither hitting nor
+// filling it) while keeping the same panic containment.
 func (r *Runner) ResultProgramOptsCtx(ctx context.Context, name string, prog *asm.Program, cfg config.Config, opts core.RunOptions) (*core.Result, error) {
 	run := func() (*core.Result, error) {
 		return r.runProgramOpts(ctx, prog, cfg, opts)
@@ -287,30 +267,6 @@ func (r *Runner) profilesOf(ws []workload.Workload) ([]*profile.Profile, error) 
 	return batch(len(ws), func(i int) (*profile.Profile, error) {
 		return r.Profile(ws[i])
 	})
-}
-
-// Prefetch runs the given (workload, config) pairs concurrently to warm
-// the cache, bounded by par simultaneous simulations. Every failure is
-// reported: the returned error joins the errors of all failed runs, in
-// pair order.
-func (r *Runner) Prefetch(pairs []Pair, par int) error {
-	return r.PrefetchCtx(context.Background(), pairs, par)
-}
-
-// PrefetchCtx is Prefetch bounded by ctx: once the context is cancelled no
-// further simulations start, and the context error joins the result.
-func (r *Runner) PrefetchCtx(ctx context.Context, pairs []Pair, par int) error {
-	pts := make([]point, len(pairs))
-	for i, p := range pairs {
-		pts[i] = point{w: p.W, cfg: p.Cfg}
-	}
-	return r.simulateAll(ctx, pts, par)
-}
-
-// Pair names one simulation.
-type Pair struct {
-	W   workload.Workload
-	Cfg config.Config
 }
 
 // point is one simulation of an experiment's grid: workload w under cfg,

@@ -78,16 +78,13 @@ func TestRunnerCacheHitsOnEqualConfigs(t *testing.T) {
 	}
 }
 
-// TestPrefetchAggregatesErrors checks that Prefetch reports every failed
-// run, not just an arbitrary one, and joins the failures in pair order
-// whatever order the runs finish in: each pair's run here takes longer the
-// earlier the pair, so the runs finish in reverse.
+// TestPrefetchAggregatesErrors checks that a batch reports every failed
+// run, not just an arbitrary one, and joins the failures in point order
+// whatever order the runs finish in: each point's run here takes longer
+// the earlier the point, so the runs finish in reverse.
 func TestPrefetchAggregatesErrors(t *testing.T) {
 	ws := workload.All()[:6]
-	var pairs []Pair
-	for _, w := range ws {
-		pairs = append(pairs, Pair{W: w, Cfg: config.Default()})
-	}
+	pts := cross(ws, config.Default())
 	var want string
 	for run := 0; run < 5; run++ {
 		r := NewRunner(0.02)
@@ -99,9 +96,9 @@ func TestPrefetchAggregatesErrors(t *testing.T) {
 			}
 			return nil, errors.New("injected failure")
 		}
-		err := r.Prefetch(pairs, len(pairs))
+		err := r.simulateAll(context.Background(), pts, len(pts))
 		if err == nil {
-			t.Fatal("Prefetch with failing runs returned nil error")
+			t.Fatal("batch with failing runs returned nil error")
 		}
 		msg := err.Error()
 		last := -1
@@ -111,7 +108,7 @@ func TestPrefetchAggregatesErrors(t *testing.T) {
 				t.Fatalf("aggregated error missing failure for %s: %v", w.Name, err)
 			}
 			if at < last {
-				t.Fatalf("failures not joined in pair order (%s out of place): %v", w.Name, err)
+				t.Fatalf("failures not joined in point order (%s out of place): %v", w.Name, err)
 			}
 			last = at
 		}
@@ -126,24 +123,18 @@ func TestPrefetchAggregatesErrors(t *testing.T) {
 func TestRunnerPrefetchParallel(t *testing.T) {
 	r := NewRunner(0.02)
 	ws := workload.Integers()[:3]
-	cfgs := []config.Config{cfgNM(2, 0), cfgNM(2, 2)}
-	var pairs []Pair
-	for _, w := range ws {
-		for _, c := range cfgs {
-			pairs = append(pairs, Pair{W: w, Cfg: c})
-		}
-	}
-	if err := r.Prefetch(pairs, 4); err != nil {
+	pts := cross(ws, cfgNM(2, 0), cfgNM(2, 2))
+	if err := r.simulateAll(context.Background(), pts, 4); err != nil {
 		t.Fatal(err)
 	}
 	// Everything must now be served from cache (identical pointers on
 	// repeat).
-	for _, p := range pairs {
-		a, err := r.Result(p.W, p.Cfg)
+	for _, p := range pts {
+		a, err := r.Result(p.w, p.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _ := r.Result(p.W, p.Cfg)
+		b, _ := r.Result(p.w, p.cfg)
 		if a != b {
 			t.Error("prefetch did not populate the cache")
 		}
@@ -217,7 +208,7 @@ func TestRunnerPanickingRunReleasesWaiters(t *testing.T) {
 
 // TestPrefetchBoundsGoroutines verifies the semaphore is taken before each
 // worker is spawned: with par=3, no more than 3 simulations ever run at
-// once, and every worker goroutine exits by the time Prefetch returns.
+// once, and every worker goroutine exits by the time the batch returns.
 func TestPrefetchBoundsGoroutines(t *testing.T) {
 	const par = 3
 	r := NewRunner(0.02)
@@ -235,30 +226,30 @@ func TestPrefetchBoundsGoroutines(t *testing.T) {
 		return &core.Result{}, nil
 	}
 
-	// Unique cache keys so every pair is a real run.
-	var pairs []Pair
+	// Unique cache keys so every point is a real run.
+	var pts []point
 	w := workload.Integers()[0]
 	for i := 0; i < 12; i++ {
 		cfg := config.Default()
 		cfg.MaxInsts = uint64(1000 + i)
-		pairs = append(pairs, Pair{W: w, Cfg: cfg})
+		pts = append(pts, point{w: w, cfg: cfg})
 	}
 
 	before := runtime.NumGoroutine()
-	if err := r.Prefetch(pairs, par); err != nil {
+	if err := r.simulateAll(context.Background(), pts, par); err != nil {
 		t.Fatal(err)
 	}
 	if got := peak.Load(); got > par {
 		t.Errorf("peak concurrent simulations = %d, want <= %d", got, par)
 	}
-	// All workers are wg.Wait()ed inside Prefetch; allow the runtime a
+	// All workers are wg.Wait()ed inside the batch; allow the runtime a
 	// moment to reap exited goroutines before counting.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Errorf("goroutines leaked by Prefetch: %d before, %d after", before, after)
+		t.Errorf("goroutines leaked by the batch: %d before, %d after", before, after)
 	}
 }
 
@@ -330,30 +321,29 @@ func TestOptimizationsInertWithoutLVC(t *testing.T) {
 		t.Skip("simulates all workloads under six configurations")
 	}
 	r := NewRunner(0.01)
-	var pairs []Pair
-	for _, w := range workload.All() {
-		for n := 2; n <= 4; n++ {
-			pairs = append(pairs, Pair{W: w, Cfg: cfgNM(n, 0)}, Pair{W: w, Cfg: cfgNM(n, 0).WithOptimizations(2)})
-		}
+	var cfgs []config.Config
+	for n := 2; n <= 4; n++ {
+		cfgs = append(cfgs, cfgNM(n, 0), cfgNM(n, 0).WithOptimizations(2))
 	}
-	if err := r.Prefetch(pairs, runtime.NumCPU()); err != nil {
+	pts := cross(workload.All(), cfgs...)
+	if err := r.simulateAll(context.Background(), pts, runtime.NumCPU()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(pairs); i += 2 {
-		plain, err := r.Result(pairs[i].W, pairs[i].Cfg)
+	for i := 0; i < len(pts); i += 2 {
+		plain, err := r.Result(pts[i].w, pts[i].cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := r.Result(pairs[i+1].W, pairs[i+1].Cfg)
+		opt, err := r.Result(pts[i+1].w, pts[i+1].cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if plain == opt {
-			t.Fatalf("%s: %s and %s share one cache entry", pairs[i].W.Name, pairs[i].Cfg.Name(), pairs[i+1].Cfg.Name())
+			t.Fatalf("%s: %s and %s share one cache entry", pts[i].w.Name, pts[i].cfg.Name(), pts[i+1].cfg.Name())
 		}
 		if !reflect.DeepEqual(plain, opt) {
 			t.Errorf("%s: %s and its optimized twin simulate differently (cycles %d vs %d)",
-				pairs[i].W.Name, pairs[i].Cfg.Name(), plain.Cycles, opt.Cycles)
+				pts[i].w.Name, pts[i].cfg.Name(), plain.Cycles, opt.Cycles)
 		}
 	}
 }

@@ -5,32 +5,40 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 const suiteGoldenPath = "testdata/suite-scale0.02.txt"
 
-// TestSuiteGolden regenerates the whole paper at scale 0.02 on the default
-// engine, printing it with the code `ddbench -exp all` prints with, and
-// compares the bytes with the suite golden. Regenerate the golden only
-// after a deliberate change to the timing model, the workloads or an
-// experiment:
+// TestSuiteGolden regenerates the whole paper at scale 0.02 once with
+// quiescent-cycle skipping (event) and once without (tick), printing it
+// with the code `ddbench -exp all` prints with, and compares each run's
+// bytes with the suite golden. Regenerate the golden only after a
+// deliberate change to the timing model, the workloads or an experiment:
 //
 //	go run ./cmd/ddbench -exp all -scale 0.02 > internal/experiments/testdata/suite-scale0.02.txt
 func TestSuiteGolden(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the suite runs about 20 times slower under the race detector; CI's engine-equivalence step diffs it instead")
-	}
-	var got bytes.Buffer
-	if err := WriteReports(&got, NewRunner(0.02), AllExperiments()...); err != nil {
-		t.Fatal(err)
+		t.Skip("the suite runs about 20 times slower under the race detector")
 	}
 	want, err := os.ReadFile(suiteGoldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(want) {
-		line, g, w := firstDiff(got.String(), string(want))
-		t.Fatalf("suite output drifted from %s at line %d:\n got:  %q\n want: %q", suiteGoldenPath, line, g, w)
+	for _, e := range []core.Engine{core.EngineEvent, core.EngineTick} {
+		t.Run(e.String(), func(t *testing.T) {
+			r := NewRunner(0.02)
+			r.RunOpts.Engine = e
+			var got bytes.Buffer
+			if err := WriteReports(&got, r, AllExperiments()...); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != string(want) {
+				line, g, w := firstDiff(got.String(), string(want))
+				t.Fatalf("suite output drifted from %s at line %d:\n got:  %q\n want: %q", suiteGoldenPath, line, g, w)
+			}
+		})
 	}
 }
 

@@ -7,9 +7,9 @@
 //
 // The paper's LVAQ/LVC + LSQ/L1 organization is the N = 2 instance: the
 // core builds one Stream per config.StreamSpec and steers each memory
-// instruction to a stream at dispatch. Nothing in this package assumes two
-// streams, so sharded or multi-backend memory systems are additional specs
-// rather than new pipeline plumbing.
+// instruction to a stream at dispatch. The streams are indexed, not
+// named, but MaxStreams caps them at the two that config.Streams builds,
+// which keeps every entry's per-stream state two slots wide.
 //
 // Queue entries are owned by the pipeline (the core's RUU entries) and are
 // registered here through the Entry interface. Each entry embeds a Node,
@@ -20,10 +20,10 @@
 // implementation paid an O(n) scan per committed memory instruction.
 package memsys
 
-// MaxStreams bounds how many streams one Entry can occupy simultaneously.
-// Dual-steered accesses occupy two; the bound leaves room for wider
-// multi-stream configurations without growing per-entry state dynamically.
-const MaxStreams = 8
+// MaxStreams is the most streams a machine has, and so the most one Entry
+// can occupy: the conventional LSQ plus, on a decoupled machine, the LVAQ
+// (config.Streams). A dual-steered access occupies both.
+const MaxStreams = 2
 
 // Entry is one in-flight memory access as seen by a stream's queue. The
 // pipeline's instruction-window entry implements it by embedding a Node.

@@ -45,11 +45,6 @@ type JobSpec struct {
 	// Steer is the steering policy name (hint, sp, oracle, dual, static,
 	// spec; default hint).
 	Steer string `json:"steer,omitempty"`
-	// Engine selects the run loop (event, tick; default event). Both
-	// engines are bit-identical by construction; the field exists so
-	// sweeps can grid over engines as a standing differential check. The
-	// engine is part of the job's cache identity.
-	Engine string `json:"engine,omitempty"`
 	// Strip removes compiler hints from the program before simulating.
 	Strip bool `json:"strip,omitempty"`
 	// MaxInsts bounds committed instructions (0 = run to halt).
@@ -110,9 +105,8 @@ type ErrorBody struct {
 // source (workload or assembled image), the cache identity, and the
 // per-attempt timeout.
 type resolvedJob struct {
-	spec   JobSpec
-	cfg    config.Config
-	engine core.Engine
+	spec JobSpec
+	cfg  config.Config
 
 	// Exactly one of w (workload jobs) and prog (program jobs) is live.
 	w        workload.Workload
@@ -160,7 +154,6 @@ func (s *Server) resolveSpec(spec JobSpec) (*resolvedJob, error) {
 	point := experiments.GridPoint{
 		Ports:     spec.Ports,
 		Steering:  spec.Steer,
-		Engine:    spec.Engine,
 		Opt:       spec.Opt,
 		Combine:   spec.Combine,
 		StaticOpt: spec.StaticOpt,
@@ -171,9 +164,6 @@ func (s *Server) resolveSpec(spec JobSpec) (*resolvedJob, error) {
 		return nil, badRequest("%v", err)
 	}
 	rj.cfg = cfg
-	if rj.engine, err = point.RunEngine(); err != nil {
-		return nil, badRequest("bad engine: %v", err)
-	}
 
 	var srcID string
 	switch {
@@ -213,11 +203,7 @@ func (s *Server) resolveSpec(spec JobSpec) (*resolvedJob, error) {
 		rj.progName = "serve:" + srcID
 	}
 
-	// The engine is part of the identity: both engines are bit-identical
-	// by construction, but a sweep gridding over them as a differential
-	// check must never have one engine's run answered from the other's
-	// cache slot.
-	rj.identity = srcID + "|" + cfg.Key() + "|eng=" + rj.engine.String()
+	rj.identity = srcID + "|" + cfg.Key()
 	sum := sha256.Sum256([]byte(rj.identity))
 	rj.key = hex.EncodeToString(sum[:16])
 	shardSum := sha256.Sum256([]byte(cfg.Key()))

@@ -296,7 +296,6 @@ func (s *Server) runAttempt(j *job, attempt int) (*core.Result, error) {
 		opts = s.opts.JobRunOpts(j.rj.key, attempt)
 	}
 	opts.Deadline = time.Time{} // wall-clock bounding belongs to the context
-	opts.Engine = j.rj.engine   // the job's engine selection always wins
 
 	ctx, cancel := context.WithTimeout(j.ctx, j.rj.timeout)
 	defer cancel()

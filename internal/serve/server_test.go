@@ -126,6 +126,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"bad JSON", `{"workload":`, http.StatusBadRequest, "bad-json"},
 		{"unknown field", `{"wrkld":"li"}`, http.StatusBadRequest, "bad-json"},
+		{"engine field", `{"workload":"li","engine":"tick"}`, http.StatusBadRequest, "bad-json"},
 		{"neither source", `{}`, http.StatusBadRequest, "bad-request"},
 		{"both sources", `{"workload":"li","program":"halt"}`, http.StatusBadRequest, "bad-request"},
 		{"unknown workload", `{"workload":"doom"}`, http.StatusBadRequest, "bad-request"},

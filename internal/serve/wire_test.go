@@ -1,12 +1,10 @@
 // Regression tests for the wire-contract details the sweep coordinator
 // depends on: uniform Retry-After on both 503 paths, the job-identity
-// header, the engine field's place in the cache identity, and the
-// readiness-probe counter.
+// header, and the readiness-probe counter.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -94,53 +92,9 @@ func TestJobKeyHeaderStable(t *testing.T) {
 		t.Fatalf("identical specs got keys %q and %q", k1, k2)
 	}
 
-	_, _, hdr3 := postJob(t, ts, "c1", `{"workload":"li","scale":0.02,"ports":"3+2","engine":"tick"}`)
+	_, _, hdr3 := postJob(t, ts, "c1", `{"workload":"li","scale":0.02,"ports":"3+2","steer":"sp"}`)
 	if k3 := hdr3.Get("X-Job-Key"); k3 == "" || k3 == k1 {
-		t.Fatalf("engine not part of identity: %q vs %q", k3, k1)
-	}
-}
-
-// The engine field selects the run loop and both engines produce
-// bit-identical statistics — a job gridded over engines is a standing
-// differential check, answered from separate cache slots.
-func TestEngineFieldSelectsBitIdenticalEngines(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-
-	run := func(engine string) JobResult {
-		t.Helper()
-		body := `{"workload":"li","scale":0.02`
-		if engine != "" {
-			body += `,"engine":"` + engine + `"`
-		}
-		body += `}`
-		status, data, _ := postJob(t, ts, "c1", body)
-		if status != http.StatusOK {
-			t.Fatalf("engine %q: status = %d, body:\n%s", engine, status, data)
-		}
-		var res JobResult
-		if err := json.Unmarshal(data, &res); err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	event, tick := run("event"), run("tick")
-	if event.Cycles == 0 || event.Cycles != tick.Cycles || event.Committed != tick.Committed ||
-		event.Misroutes != tick.Misroutes {
-		t.Fatalf("engines diverged: event=%+v tick=%+v", event, tick)
-	}
-	// Default engine is event: identical stats and identical cache slot.
-	def := run("")
-	if def.Cycles != event.Cycles {
-		t.Fatalf("default engine diverged: %+v vs %+v", def, event)
-	}
-
-	status, data, _ := postJob(t, ts, "c1", `{"workload":"li","engine":"warp"}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("bad engine: status = %d, body:\n%s", status, data)
-	}
-	if e := decodeError(t, data); e.Kind != "bad-request" {
-		t.Fatalf("bad engine body = %+v", e)
+		t.Fatalf("steering not part of identity: %q vs %q", k3, k1)
 	}
 }
 

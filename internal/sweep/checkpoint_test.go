@@ -15,7 +15,7 @@ import (
 
 func testPoint(key string) *FigurePoint {
 	return &FigurePoint{Key: key, Workload: "li", Ports: "(2+0)", Steering: "hint",
-		Engine: "event", Mode: "base", Cycles: 1234, Committed: 567, IPC: 0.46}
+		Mode: "base", Cycles: 1234, Committed: 567, IPC: 0.46}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {

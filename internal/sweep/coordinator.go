@@ -605,7 +605,6 @@ func (c *Coordinator) post1(ctx context.Context, b *backend, p Point) verdict {
 		Combine:        p.GP.Combine,
 		StaticOpt:      p.GP.StaticOpt,
 		Steer:          p.GP.Steering,
-		Engine:         p.GP.Engine,
 		MaxInsts:       p.GP.MaxInsts,
 		TimeoutSeconds: c.spec.TimeoutSeconds,
 	}
@@ -658,7 +657,6 @@ func (c *Coordinator) post1(ctx context.Context, b *backend, p Point) verdict {
 			Workload:      p.GP.Workload,
 			Ports:         res.Config,
 			Steering:      res.Steering,
-			Engine:        p.engine(),
 			Mode:          p.Mode,
 			Cycles:        res.Cycles,
 			Committed:     res.Committed,

@@ -24,8 +24,8 @@ import (
 // hedged duplicate) agrees — exactly the property real backends have.
 func stubResult(spec serve.JobSpec) serve.JobResult {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%s|%v|%v|%d|%d",
-		spec.Workload, spec.Ports, spec.Steer, spec.Engine,
+	fmt.Fprintf(h, "%s|%s|%s|%v|%v|%d|%d",
+		spec.Workload, spec.Ports, spec.Steer,
 		spec.Opt, spec.StaticOpt, spec.Combine, spec.MaxInsts)
 	x := h.Sum64()
 	cycles := 1000 + x%100000
@@ -253,7 +253,7 @@ func TestTerminalFailsFast(t *testing.T) {
 	if len(fig.Points) != 0 {
 		t.Fatal("failed point produced figure data")
 	}
-	key := "li/2+0/hint/event/base"
+	key := "li/2+0/hint/base"
 	if reason := census.Failed[key]; !strings.Contains(reason, "cycle-budget") {
 		t.Fatalf("failure not typed: %q (census %v)", reason, census.Failed)
 	}

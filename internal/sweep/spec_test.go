@@ -13,6 +13,19 @@ func TestParseSpecSchemaGate(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{not json`)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("bad JSON: got %v, want ErrBadSpec", err)
 	}
+	// An unknown field fails instead of silently leaving its axis at the
+	// default: a misspelt "steering" would otherwise sweep hint steering.
+	for _, body := range []string{
+		`{"schema":"sweep/v1","workloads":["li"],"ports":["2+0"],"steer":["sp"]}`,
+		`{"schema":"sweep/v1","workloads":["li"],"ports":["2+0"],"engines":["tick"]}`,
+	} {
+		if _, err := ParseSpec([]byte(body)); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("unknown field in %s: got %v, want ErrBadSpec", body, err)
+		}
+	}
+	if _, err := ParseSpec([]byte(`{"schema":"sweep/v1","workloads":["li"],"ports":["2+0"]} {}`)); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("data after the spec: got %v, want ErrBadSpec", err)
+	}
 	s, err := ParseSpec([]byte(`{"schema":"sweep/v1","workloads":["li"],"ports":["2+0"]}`))
 	if err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
@@ -37,7 +50,7 @@ func TestPointsExpansionAndDefaults(t *testing.T) {
 		}
 	}
 	for _, p := range points {
-		if p.steering() != "hint" || p.engine() != "event" || p.Mode != "base" {
+		if p.steering() != "hint" || p.Mode != "base" {
 			t.Fatalf("defaults not applied: %+v", p)
 		}
 		if !strings.Contains(p.Key, p.GP.Workload) {
@@ -45,15 +58,15 @@ func TestPointsExpansionAndDefaults(t *testing.T) {
 		}
 	}
 	// Defaulted axes must have been filled in (the spec ID hashes them).
-	if len(s.Steering) != 1 || len(s.Engines) != 1 || len(s.Modes) != 1 || s.Scale != 1.0 {
+	if len(s.Steering) != 1 || len(s.Modes) != 1 || s.Scale != 1.0 {
 		t.Fatalf("normalize did not fill defaults: %+v", s)
 	}
 }
 
-func TestPointsModesAndEngines(t *testing.T) {
+func TestPointsModes(t *testing.T) {
 	s := &Spec{
 		Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"},
-		Engines: []string{"event", "tick"}, Modes: []string{"base", "opt", "static"},
+		Steering: []string{"hint", "sp"}, Modes: []string{"base", "opt", "static"},
 	}
 	points, err := s.Points()
 	if err != nil {
@@ -144,7 +157,6 @@ func TestPointsErrors(t *testing.T) {
 		{"unknown workload", Spec{Schema: SpecSchema, Workloads: []string{"nope"}, Ports: []string{"2+0"}}},
 		{"bad ports", Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"banana"}}},
 		{"bad steering", Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}, Steering: []string{"psychic"}}},
-		{"bad engine", Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}, Engines: []string{"warp"}}},
 		{"bad mode", Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}, Modes: []string{"turbo"}}},
 		{"negative scale", Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}, Scale: -1}},
 		{"all excluded", Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}, Exclude: []Exclusion{{}}}},
@@ -165,7 +177,7 @@ func TestSpecID(t *testing.T) {
 	// spells out what was implicit.
 	b := &Spec{
 		Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"},
-		Steering: []string{"hint"}, Engines: []string{"event"}, Modes: []string{"base"}, Scale: 1.0,
+		Steering: []string{"hint"}, Modes: []string{"base"}, Scale: 1.0,
 	}
 	if a.ID() != b.ID() {
 		t.Fatalf("normalized IDs differ: %s vs %s", a.ID(), b.ID())

@@ -1,6 +1,6 @@
 // Package sweep is the distributed sweep coordinator behind the ddsweep
 // tool: it expands a declarative sweep/v1 spec (workload x port-geometry
-// x steering x engine grid with explicit exclusions) into simulation
+// x steering x mode grid with explicit exclusions) into simulation
 // jobs and drives them across N ddserve backends, assembling one
 // deterministic figure JSON at the end.
 //
@@ -38,6 +38,7 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -72,12 +73,11 @@ type Spec struct {
 	// workload names and "(N+M)" port geometries.
 	Workloads []string `json:"workloads"`
 	Ports     []string `json:"ports"`
-	// Steering, Engines and Modes default to one-element axes
-	// ("hint", "event", "base"). Modes select the optimization level:
-	// base (none), opt (dynamic forwarding + 2-way combining), static
-	// (statically-proven pairs/groups only).
+	// Steering and Modes default to one-element axes ("hint", "base").
+	// Modes select the optimization level: base (none), opt (dynamic
+	// forwarding + 2-way combining), static (statically-proven
+	// pairs/groups only).
 	Steering []string `json:"steering,omitempty"`
-	Engines  []string `json:"engines,omitempty"`
 	Modes    []string `json:"modes,omitempty"`
 
 	// Scale is the workload scale factor (default 1.0), shared by every
@@ -101,7 +101,6 @@ type Exclusion struct {
 	Workload string `json:"workload,omitempty"`
 	Ports    string `json:"ports,omitempty"`
 	Steering string `json:"steering,omitempty"`
-	Engine   string `json:"engine,omitempty"`
 	Mode     string `json:"mode,omitempty"`
 }
 
@@ -110,7 +109,6 @@ func (e Exclusion) matches(p Point) bool {
 	return match(e.Workload, p.GP.Workload) &&
 		match(e.Ports, p.GP.Ports) &&
 		match(e.Steering, p.steering()) &&
-		match(e.Engine, p.engine()) &&
 		match(e.Mode, p.Mode)
 }
 
@@ -129,18 +127,18 @@ func (p Point) steering() string {
 	return p.GP.Steering
 }
 
-func (p Point) engine() string {
-	if p.GP.Engine == "" {
-		return "event"
-	}
-	return p.GP.Engine
-}
-
-// ParseSpec decodes and schema-gates a sweep/v1 spec.
+// ParseSpec decodes and schema-gates a sweep/v1 spec. A field the spec
+// schema does not name is an error, so a misspelt axis cannot silently
+// fall back to its default.
 func ParseSpec(data []byte) (*Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("%w: data after the spec object", ErrBadSpec)
 	}
 	if s.Schema != SpecSchema {
 		return nil, fmt.Errorf("%w: schema %q, want %q", ErrBadSpec, s.Schema, SpecSchema)
@@ -152,9 +150,6 @@ func ParseSpec(data []byte) (*Spec, error) {
 func (s *Spec) normalize() {
 	if len(s.Steering) == 0 {
 		s.Steering = []string{"hint"}
-	}
-	if len(s.Engines) == 0 {
-		s.Engines = []string{"event"}
 	}
 	if len(s.Modes) == 0 {
 		s.Modes = []string{"base"}
@@ -184,48 +179,42 @@ func (s *Spec) Points() ([]Point, error) {
 		}
 		for _, ports := range s.Ports {
 			for _, steer := range s.Steering {
-				for _, engine := range s.Engines {
-					for _, mode := range s.Modes {
-						p := Point{
-							GP: experiments.GridPoint{
-								Workload: w,
-								Ports:    ports,
-								Steering: steer,
-								Engine:   engine,
-								Combine:  s.Combine,
-								MaxInsts: s.MaxInsts,
-							},
-							Mode: mode,
-						}
-						switch mode {
-						case "base":
-						case "opt":
-							p.GP.Opt = true
-						case "static":
-							p.GP.StaticOpt = true
-						default:
-							return nil, fmt.Errorf("%w: unknown mode %q (want base, opt or static)", ErrBadSpec, mode)
-						}
-						if _, err := p.GP.Config(); err != nil {
-							return nil, fmt.Errorf("%w: point %s: %v", ErrBadSpec, p.GP.Key(), err)
-						}
-						if _, err := p.GP.RunEngine(); err != nil {
-							return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-						}
-						p.Key = p.GP.Key()
-						excluded := false
-						for _, ex := range s.Exclude {
-							if ex.matches(p) {
-								excluded = true
-								break
-							}
-						}
-						if excluded || seen[p.Key] {
-							continue
-						}
-						seen[p.Key] = true
-						points = append(points, p)
+				for _, mode := range s.Modes {
+					p := Point{
+						GP: experiments.GridPoint{
+							Workload: w,
+							Ports:    ports,
+							Steering: steer,
+							Combine:  s.Combine,
+							MaxInsts: s.MaxInsts,
+						},
+						Mode: mode,
 					}
+					switch mode {
+					case "base":
+					case "opt":
+						p.GP.Opt = true
+					case "static":
+						p.GP.StaticOpt = true
+					default:
+						return nil, fmt.Errorf("%w: unknown mode %q (want base, opt or static)", ErrBadSpec, mode)
+					}
+					if _, err := p.GP.Config(); err != nil {
+						return nil, fmt.Errorf("%w: point %s: %v", ErrBadSpec, p.GP.Key(), err)
+					}
+					p.Key = p.GP.Key()
+					excluded := false
+					for _, ex := range s.Exclude {
+						if ex.matches(p) {
+							excluded = true
+							break
+						}
+					}
+					if excluded || seen[p.Key] {
+						continue
+					}
+					seen[p.Key] = true
+					points = append(points, p)
 				}
 			}
 		}
@@ -257,7 +246,6 @@ type FigurePoint struct {
 	Workload string `json:"workload"`
 	Ports    string `json:"ports"`
 	Steering string `json:"steering"`
-	Engine   string `json:"engine"`
 	Mode     string `json:"mode"`
 
 	Cycles        uint64  `json:"cycles"`
