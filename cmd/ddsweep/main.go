@@ -5,20 +5,22 @@
 //
 //	ddsweep -spec fig5.json -backends http://a:8080,http://b:8080 -out fig5.out.json
 //	ddsweep -spec fig5.json -backends http://a:8080 -checkpoint fig5.ckpt -resume
-//	ddsweep -spec fig5.json -backends http://a:8080,http://b:8080 -hedge 2s -census census.json
+//	ddsweep -spec fig5.json -backends http://a:8080,http://b:8080 -census census.json
 //
 // The spec (sweep/v1) declares the grid — workloads x port geometries x
 // steering policies x optimization modes, with explicit point
 // exclusions — and ddsweep drives every expanded point to a terminal
-// state: health-probed load-aware dispatch, bounded retries with backoff
-// that honors the server's Retry-After, hedged requests for stragglers,
-// and a per-backend circuit breaker. With -checkpoint each completed
-// point is persisted (atomic temp+rename) and -resume re-runs only the
-// missing ones; a defective checkpoint file self-heals to empty with a
-// logged, counted notice.
+// state: each job goes to the least loaded admissible backend, with
+// bounded retries and exponential backoff. A backend is admissible
+// unless it is down — a failed /readyz probe, a transport error or a
+// malformed result sets that until its next good probe — or cooling for
+// the Retry-After window of its last shed. With -checkpoint each
+// completed point is persisted (atomic temp+rename) and -resume re-runs
+// only the missing ones; a defective checkpoint file self-heals to empty
+// with a logged, counted notice.
 //
 // The figure JSON on stdout (or -out) is byte-identical for a given spec
-// regardless of backend count, hedging, retries or resume. Diagnostics —
+// regardless of backend count, retries or resume. Diagnostics —
 // the per-backend / per-outcome census — go to stderr, and -census
 // writes them as a JSON artifact.
 //
@@ -50,12 +52,8 @@ func main() {
 		resume    = flag.Bool("resume", false, "resume from -checkpoint, re-running only missing points")
 		parallel  = flag.Int("parallel", 0, "points in flight across all backends (0 = 2x backends)")
 		retries   = flag.Int("retries", 0, "attempts per point (0 = 6)")
-		hedge     = flag.Duration("hedge", 0, "re-issue a straggling point on a second backend after this delay (0 = off)")
 		probe     = flag.Duration("probe", 0, "/readyz health-probe interval (0 = 1s)")
-		breakHits = flag.Int("breakfails", 0, "consecutive transient failures that open a backend's breaker (0 = 3)")
-		breakCool = flag.Duration("breakcool", 0, "breaker open-state cooldown before the half-open probe (0 = 2s)")
 		censusOut = flag.String("census", "", "write the census as JSON to this path")
-		seed      = flag.Int64("seed", 1, "backoff-jitter seed (any fixed seed keeps runs reproducible)")
 	)
 	flag.Parse()
 
@@ -73,17 +71,13 @@ func main() {
 	}
 
 	coord, err := sweep.New(spec, sweep.Options{
-		Backends:         strings.Split(*backends, ","),
-		Parallel:         *parallel,
-		MaxAttempts:      *retries,
-		Hedge:            *hedge,
-		ProbeInterval:    *probe,
-		BreakerThreshold: *breakHits,
-		BreakerCooldown:  *breakCool,
-		Checkpoint:       *ckpt,
-		Resume:           *resume,
-		Seed:             *seed,
-		Log:              os.Stderr,
+		Backends:      strings.Split(*backends, ","),
+		Parallel:      *parallel,
+		MaxAttempts:   *retries,
+		ProbeInterval: *probe,
+		Checkpoint:    *ckpt,
+		Resume:        *resume,
+		Log:           os.Stderr,
 	})
 	if err != nil {
 		// Every New failure is a bad spec or bad options: the caller's to fix.

@@ -15,9 +15,10 @@
 //     the analysis, unbalanced $sp adjustments across paths, stack
 //     addresses escaping into non-stack memory, and statically
 //     out-of-frame accesses;
-//   - the config.SteerStatic steering mode of internal/core, which feeds
-//     HintTable into dispatch instead of trusting the per-instruction
-//     hint bits.
+//   - the hint-assignment pass (Assign), whose per-PC table the
+//     config.SteerStatic and config.SteerSpec steering modes of
+//     internal/core feed into dispatch instead of trusting the
+//     per-instruction hint bits.
 //
 // Soundness: a Local claim is made only for addresses provably below the
 // enclosing function's incoming $sp (assuming frames fit in the 16 MB
@@ -158,9 +159,9 @@ func (r *Analysis) At(pc uint32) (ClassInfo, bool) {
 	return r.Classes[idx], true
 }
 
-// HintTable returns the per-PC classification table consumed by the
-// SteerStatic mode of the timing core: only proven Local/NonLocal entries
-// appear; everything else is steered by the hardware fallback.
+// HintTable returns the per-PC table of proven classifications: only
+// Local/NonLocal entries appear. Tests check Assign's proven classes
+// against it; the timing core steers from Assign's table.
 func (r *Analysis) HintTable() map[uint32]isa.Hint {
 	t := make(map[uint32]isa.Hint)
 	for i, in := range r.Prog.Text {

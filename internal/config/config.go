@@ -35,12 +35,12 @@ const (
 	// between them"). No misprediction recovery is ever needed, at the
 	// cost of queue occupancy and conservative ordering in both streams.
 	SteerDual
-	// SteerStatic consumes the per-PC classification table computed by
-	// the internal/analysis dataflow pass instead of the instruction hint
-	// bits: provably-local accesses go to the LVAQ, provably-non-local
-	// ones to the LSQ, and ambiguous ones fall back to the 1-bit region
-	// predictor. It models a compiler doing the §2.2.3 classification
-	// without any ISA hint encoding.
+	// SteerStatic consumes the analysis.Assign table, as SteerSpec does,
+	// instead of the instruction hint bits: provably-local accesses go to
+	// the LVAQ, provably-non-local ones to the LSQ, and everything else,
+	// speculate-local included, falls back to the 1-bit region predictor.
+	// It models a compiler doing the §2.2.3 classification without any
+	// ISA hint encoding.
 	SteerStatic
 	// SteerSpec consumes the analysis.Assign confidence table: provably
 	// local/non-local accesses are steered by their proof, speculate-local

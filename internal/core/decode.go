@@ -69,17 +69,13 @@ const (
 // analysis pass each steering or static-optimization option calls for.
 func decodeText(prog *asm.Program, cfg config.Config) []decoded {
 	var (
-		static map[uint32]isa.Hint
-		spec   map[uint32]analysis.ConfClass
+		conf   map[uint32]analysis.ConfClass
 		fwd    map[uint32]uint32
 		groups map[uint32]int
 	)
 	if cfg.Decoupled() {
-		switch cfg.Steering {
-		case config.SteerStatic:
-			static = analysis.Analyze(prog).HintTable()
-		case config.SteerSpec:
-			spec = analysis.Assign(prog).SteerTable()
+		if cfg.Steering == config.SteerStatic || cfg.Steering == config.SteerSpec {
+			conf = analysis.Assign(prog).SteerTable()
 		}
 		if cfg.ForwardStatic || cfg.CombineStatic {
 			dep := analysis.Dependences(prog, cfg.LVC.LineBytes)
@@ -105,7 +101,7 @@ func decodeText(prog *asm.Program, cfg config.Config) []decoded {
 			continue
 		}
 		d.spBase = in.BaseReg() == isa.RegSP || in.BaseReg() == isa.RegFP
-		d.steer = steerOf(cfg, in, d.spBase, static[pc], spec[pc])
+		d.steer = steerOf(cfg, in, d.spBase, conf[pc])
 		if g, ok := groups[pc]; ok {
 			d.combineGroup = g
 		}
@@ -115,10 +111,10 @@ func decodeText(prog *asm.Program, cfg config.Config) []decoded {
 }
 
 // steerOf resolves the steering policy for one memory instruction (paper
-// §2.1): its hint bits, the analyzer's classification (SteerStatic) or
-// the Assign pass's confidence class (SteerSpec). Whatever the policy
-// leaves ambiguous goes to the region predictor.
-func steerOf(cfg config.Config, in isa.Inst, spBase bool, static isa.Hint, conf analysis.ConfClass) steerKind {
+// §2.1): its hint bits, or the Assign pass's confidence class
+// (SteerStatic, SteerSpec). Whatever the policy leaves ambiguous goes to
+// the region predictor.
+func steerOf(cfg config.Config, in isa.Inst, spBase bool, conf analysis.ConfClass) steerKind {
 	if !cfg.Decoupled() {
 		return steerNonLocal
 	}
@@ -132,17 +128,18 @@ func steerOf(cfg config.Config, in isa.Inst, spBase bool, static isa.Hint, conf 
 		return steerNonLocal
 	case config.SteerDual:
 		return steerByHint(in.Hint, steerDual)
-	case config.SteerStatic:
-		// The analyzer's table replaces the hint bits.
-		return steerByHint(static, steerPredict)
-	case config.SteerSpec:
+	case config.SteerStatic, config.SteerSpec:
+		// The Assign table replaces the hint bits. Only SteerSpec acts on
+		// a speculate-local class; SteerStatic leaves it to the predictor.
 		switch conf {
 		case analysis.ConfProvenLocal:
 			return steerLocal
 		case analysis.ConfProvenNonLocal:
 			return steerNonLocal
 		case analysis.ConfSpecLocal:
-			return steerSpecLocal
+			if cfg.Steering == config.SteerSpec {
+				return steerSpecLocal
+			}
 		}
 		return steerPredict
 	}

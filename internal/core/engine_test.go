@@ -58,10 +58,10 @@ func memBoundConfig() config.Config {
 // event-driven engine: on every workload, for a spread of machine
 // configurations (unified, decoupled, decoupled with both §2.2.2
 // optimizations, a memory-bound cache geometry, ablation-lvaq's 8-entry
-// LVAQ and dual steering of hint-stripped programs), the event engine
-// must produce a Result that is bit-identical to the tick engine's —
-// cycles, every stall counter, every occupancy integral, every cache
-// statistic.
+// LVAQ, and dual and static steering of hint-stripped programs), the
+// event engine must produce a Result that is bit-identical to the tick
+// engine's — cycles, every stall counter, every occupancy integral,
+// every cache statistic.
 //
 // Identical engines can still share a timing bug, so each Result is also
 // pinned: its line must equal the one in testdata/results-scale0.02.txt.
@@ -72,6 +72,8 @@ func TestEngineIdentityAllWorkloads(t *testing.T) {
 	lvaq8.LVAQSize = 8
 	dual := config.Default().WithPorts(3, 2)
 	dual.Steering = config.SteerDual
+	static := config.Default().WithPorts(3, 2)
+	static.Steering = config.SteerStatic
 	configs := []struct {
 		name  string
 		cfg   config.Config
@@ -83,6 +85,7 @@ func TestEngineIdentityAllWorkloads(t *testing.T) {
 		{"mem-bound(2+2)", memBoundConfig(), false},
 		{"optimized-lvaq8(3+2)", lvaq8, false},
 		{"dual-stripped(3+2)", dual, true},
+		{"static-stripped(3+2)", static, true},
 	}
 	scale := 0.02
 	golden := readResultGolden(t)

@@ -132,3 +132,27 @@ func TestSpecSteeringOnStrippedWorkload(t *testing.T) {
 	t.Logf("li@0.02 stripped: spec %d cycles (%d misroutes, %d spec steers, %d misspec) vs oracle %d cycles",
 		specRes.Cycles, specRes.Misroutes, specRes.SpecSteers, specRes.SpecMisroutes, oracleRes.Cycles)
 }
+
+// TestStaticSteeringLeavesSpeculationToPredictor: SteerStatic reads the
+// same Assign table as SteerSpec but acts only on its proven classes. On
+// the unhinted specProgram, whose frame-slot accesses are
+// speculate-local, it must never steer speculatively and must time
+// exactly like hint steering's predictor fallback.
+func TestStaticSteeringLeavesSpeculationToPredictor(t *testing.T) {
+	prog := compile(t, specProgram)
+	hint := config.Default().WithPorts(3, 2)
+	hintRes := simulate(t, prog, hint)
+	static := hint
+	static.Steering = config.SteerStatic
+	staticRes := simulate(t, prog, static)
+
+	if staticRes.SpecSteers != 0 {
+		t.Errorf("static steering made %d speculative steers", staticRes.SpecSteers)
+	}
+	if staticRes.Cycles != hintRes.Cycles || staticRes.Misroutes != hintRes.Misroutes ||
+		staticRes.PredictedSteers != hintRes.PredictedSteers {
+		t.Errorf("static %d cycles, %d misroutes, %d predicted; hint %d, %d, %d",
+			staticRes.Cycles, staticRes.Misroutes, staticRes.PredictedSteers,
+			hintRes.Cycles, hintRes.Misroutes, hintRes.PredictedSteers)
+	}
+}

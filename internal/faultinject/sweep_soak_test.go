@@ -32,8 +32,8 @@ import (
 // into a counted full re-run. The claims under test:
 //
 //   - the final figure JSON is byte-identical to a serial single-backend
-//     no-fault reference, regardless of kills, sheds, hedges, retries,
-//     resume, or checkpoint healing;
+//     no-fault reference, regardless of kills, sheds, retries, resume,
+//     or checkpoint healing;
 //   - every failed attempt lands in a typed outcome (census), never in a
 //     hang or an untyped error;
 //   - a defective checkpoint is a counted, logged self-healing reset —
@@ -233,17 +233,14 @@ func TestSweepSoak(t *testing.T) {
 	ckptPath := filepath.Join(t.TempDir(), "soak.sweepckpt")
 	chaosOpts := func() sweep.Options {
 		return sweep.Options{
-			Backends:         urls,
-			Parallel:         4,
-			MaxAttempts:      10,
-			RetryBase:        2 * time.Millisecond,
-			RetryCap:         50 * time.Millisecond,
-			Hedge:            40 * time.Millisecond,
-			ProbeInterval:    20 * time.Millisecond,
-			BreakerThreshold: 3,
-			BreakerCooldown:  150 * time.Millisecond,
-			DispatchWait:     15 * time.Second,
-			Checkpoint:       ckptPath,
+			Backends:      urls,
+			Parallel:      4,
+			MaxAttempts:   10,
+			RetryBase:     2 * time.Millisecond,
+			RetryCap:      50 * time.Millisecond,
+			ProbeInterval: 20 * time.Millisecond,
+			DispatchWait:  15 * time.Second,
+			Checkpoint:    ckptPath,
 		}
 	}
 

@@ -96,10 +96,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The job's cache identity, exposed so clients that submit the same
-	// job twice (sweep hedging, retries on another connection) can see
-	// the duplicates are the same unit of work. Identical in-flight jobs
-	// coalesce onto one simulation server-side (the runner's in-flight
-	// table), so hedged duplicates are idempotent by construction.
+	// job twice (a retry, or the same point sent to another backend) can
+	// see the duplicates are the same unit of work. Coalescing is per
+	// server: identical in-flight jobs on this server share one
+	// simulation (the runner's in-flight table), and a duplicate on
+	// another server runs its own.
 	w.Header().Set("X-Job-Key", rj.key)
 
 	// Persistent cache: a hit answers without touching the queue, so

@@ -78,9 +78,10 @@ func TestForcedDrain503CarriesRetryAfter(t *testing.T) {
 	}
 }
 
-// Every resolved job's response carries X-Job-Key: hedged duplicates can
-// see they are the same unit of work, and identical specs get identical
-// keys regardless of which backend answers.
+// Every resolved job's response carries X-Job-Key: a client that submits
+// the same job twice can see the duplicates are the same unit of work,
+// and identical specs get identical keys regardless of which backend
+// answers.
 func TestJobKeyHeaderStable(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	body := `{"workload":"li","scale":0.02,"ports":"3+2"}`

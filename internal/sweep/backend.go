@@ -10,35 +10,28 @@ import (
 	"time"
 )
 
-// backend is one ddserve instance: its URL, probed readiness, in-flight
-// load, Retry-After cooling window, circuit breaker and census counters.
+// backend is one ddserve instance: its URL, admission state, in-flight
+// load and census counters.
 type backend struct {
 	url  string
 	name string // short display label ("b0", "b1", ...)
 
 	client *http.Client
 
-	ready     atomic.Bool
-	probed    atomic.Bool  // at least one probe completed
+	// down is set by a failed /readyz probe, a transport error or a
+	// malformed 200, and cleared only by the next successful probe.
+	down      atomic.Bool
+	coolUntil atomic.Int64 // unix nanos; Retry-After window of the last shed
 	inflight  atomic.Int64 // jobs currently posted
-	coolUntil atomic.Int64 // unix nanos; Retry-After backpressure window
-
-	br *breaker
 
 	// census counters (atomics: bumped from many workers).
-	dispatched, ok, transient, terminal, shed, hedgeWins atomic.Uint64
+	dispatched, ok, transient, terminal, shed atomic.Uint64
 }
 
-// dispatchable reports whether the backend may receive a job right now,
-// without consuming the breaker's half-open probe slot.
-func (b *backend) dispatchable(now time.Time) bool {
-	if b.probed.Load() && !b.ready.Load() {
-		return false
-	}
-	if now.UnixNano() < b.coolUntil.Load() {
-		return false
-	}
-	return b.br.admittable(now)
+// admissible reports whether the backend may receive a job at now: it
+// is not down and not cooling after a shed.
+func (b *backend) admissible(now time.Time) bool {
+	return !b.down.Load() && now.UnixNano() >= b.coolUntil.Load()
 }
 
 // cool records a Retry-After hint: no dispatch to this backend until
@@ -56,26 +49,23 @@ func (b *backend) cool(now time.Time, after time.Duration) {
 	}
 }
 
-// probe checks /readyz once and updates readiness.
+// probe checks /readyz once: a 200 clears down, anything else sets it.
 func (b *backend) probe(ctx context.Context) {
 	pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.url+"/readyz", nil)
 	if err != nil {
-		b.ready.Store(false)
-		b.probed.Store(true)
+		b.down.Store(true)
 		return
 	}
 	resp, err := b.client.Do(req)
 	if err != nil {
-		b.ready.Store(false)
-		b.probed.Store(true)
+		b.down.Store(true)
 		return
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	b.ready.Store(resp.StatusCode == http.StatusOK)
-	b.probed.Store(true)
+	b.down.Store(resp.StatusCode != http.StatusOK)
 }
 
 // probeLoop re-probes readiness every interval until ctx ends.
@@ -96,35 +86,28 @@ func (b *backend) probeLoop(ctx context.Context, interval time.Duration, wg *syn
 
 // BackendCensus is one backend's contribution to the sweep census.
 type BackendCensus struct {
-	Name         string `json:"name"`
-	URL          string `json:"url"`
-	Dispatched   uint64 `json:"dispatched"`
-	OK           uint64 `json:"ok"`
-	Transient    uint64 `json:"transient"`
-	Terminal     uint64 `json:"terminal"`
-	Shed         uint64 `json:"shed"`
-	HedgeWins    uint64 `json:"hedge_wins"`
-	BreakerState string `json:"breaker_state"`
-	BreakerOpens uint64 `json:"breaker_opens"`
+	Name       string `json:"name"`
+	URL        string `json:"url"`
+	Dispatched uint64 `json:"dispatched"`
+	OK         uint64 `json:"ok"`
+	Transient  uint64 `json:"transient"`
+	Terminal   uint64 `json:"terminal"`
+	Shed       uint64 `json:"shed"`
 }
 
 func (b *backend) census() BackendCensus {
-	state, opens := b.br.snapshot()
 	return BackendCensus{
-		Name:         b.name,
-		URL:          b.url,
-		Dispatched:   b.dispatched.Load(),
-		OK:           b.ok.Load(),
-		Transient:    b.transient.Load(),
-		Terminal:     b.terminal.Load(),
-		Shed:         b.shed.Load(),
-		HedgeWins:    b.hedgeWins.Load(),
-		BreakerState: state.String(),
-		BreakerOpens: opens,
+		Name:       b.name,
+		URL:        b.url,
+		Dispatched: b.dispatched.Load(),
+		OK:         b.ok.Load(),
+		Transient:  b.transient.Load(),
+		Terminal:   b.terminal.Load(),
+		Shed:       b.shed.Load(),
 	}
 }
 
 func (c BackendCensus) String() string {
-	return fmt.Sprintf("%s %s: dispatched=%d ok=%d transient=%d terminal=%d shed=%d hedge-wins=%d breaker=%s(opens=%d)",
-		c.Name, c.URL, c.Dispatched, c.OK, c.Transient, c.Terminal, c.Shed, c.HedgeWins, c.BreakerState, c.BreakerOpens)
+	return fmt.Sprintf("%s %s: dispatched=%d ok=%d transient=%d terminal=%d shed=%d",
+		c.Name, c.URL, c.Dispatched, c.OK, c.Transient, c.Terminal, c.Shed)
 }

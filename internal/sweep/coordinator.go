@@ -32,26 +32,16 @@ type Options struct {
 	// Parallel is the number of concurrent points in flight across all
 	// backends (default 2 x backends).
 	Parallel int
-	// MaxAttempts bounds the tries per point, hedges not counted
-	// (default 6).
+	// MaxAttempts bounds the tries per point (default 6).
 	MaxAttempts int
 	// RetryBase/RetryCap shape the exponential backoff between attempts
-	// (defaults 100ms / 3s). A server Retry-After hint longer than the
-	// computed backoff wins.
+	// (defaults 100ms / 3s). A server's Retry-After hint cools the backend
+	// that shed, not the point: the retry goes to another backend.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// Hedge re-issues a still-running attempt on a second backend after
-	// this delay; the first result wins and the loser is cancelled
-	// (0 disables hedging). Hedged duplicates are idempotent: identical
-	// in-flight jobs coalesce onto one simulation server-side.
-	Hedge time.Duration
-	// ProbeInterval is the /readyz health-probe period (default 1s).
+	// ProbeInterval is the /readyz health-probe period (default 1s). A
+	// backend marked down sits out until its next successful probe.
 	ProbeInterval time.Duration
-	// BreakerThreshold consecutive transient failures open a backend's
-	// circuit breaker (default 3); BreakerCooldown is how long it stays
-	// open before the half-open probe (default 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// DispatchWait bounds how long one attempt waits for any backend to
 	// admit the job (default 10s). Past it the attempt fails transient
 	// ("no-backend") and the normal retry budget applies, so a sweep with
@@ -61,9 +51,6 @@ type Options struct {
 	// and re-runs only the missing points.
 	Checkpoint string
 	Resume     bool
-	// Seed seeds the backoff jitter (default 1; any fixed seed keeps
-	// tests reproducible — jitter never reaches the figure bytes).
-	Seed int64
 	// Log receives progress and self-healing notices (default io.Discard).
 	Log io.Writer
 	// HTTPClient overrides the transport (default http.DefaultClient);
@@ -94,17 +81,8 @@ func (o *Options) setDefaults() error {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
 	if o.DispatchWait <= 0 {
 		o.DispatchWait = 10 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	if o.Log == nil {
 		o.Log = io.Discard
@@ -126,8 +104,8 @@ type Census struct {
 	// produced a result.
 	Failed map[string]string `json:"failed,omitempty"`
 	// Outcomes counts every typed per-attempt and per-point event:
-	// ok, resumed, retried:<reason>, hedge-launched, hedge-won,
-	// hedge-lost, terminal:<kind>, retries-exhausted, canceled.
+	// ok, resumed, retried:<reason>, terminal:<kind>, retries-exhausted,
+	// canceled.
 	Outcomes map[string]int `json:"outcomes"`
 	// CheckpointResets counts defective checkpoints healed to empty;
 	// CheckpointWriteErrs counts persists that failed (and were
@@ -210,14 +188,13 @@ func New(spec *Spec, opts Options) (*Coordinator, error) {
 		opts:     opts,
 		outcomes: map[string]int{},
 		failed:   map[string]string{},
-		rng:      rand.New(rand.NewSource(opts.Seed)),
+		rng:      rand.New(rand.NewSource(1)),
 	}
 	for i, url := range opts.Backends {
 		c.backends = append(c.backends, &backend{
 			url:    strings.TrimRight(url, "/"),
 			name:   fmt.Sprintf("b%d", i),
 			client: opts.HTTPClient,
-			br:     newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		})
 	}
 	return c, nil
@@ -354,7 +331,9 @@ func (c *Coordinator) notify(key, outcome string) {
 	}
 }
 
-// jitter returns a deterministic-seeded random duration in [0, d).
+// jitter returns a random duration in [0, d) from a fixed seed: jitter
+// never reaches the figure bytes, and a fixed seed keeps tests
+// reproducible.
 func (c *Coordinator) jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
@@ -366,8 +345,8 @@ func (c *Coordinator) jitter(d time.Duration) time.Duration {
 
 // backoff computes the delay before retry number attempt (1-based over
 // completed attempts): exponential from RetryBase, capped at RetryCap,
-// with up to 50% jitter; a longer server Retry-After hint wins.
-func (c *Coordinator) backoff(attempt int, retryAfter time.Duration) time.Duration {
+// with up to 50% jitter.
+func (c *Coordinator) backoff(attempt int) time.Duration {
 	d := c.opts.RetryBase
 	for i := 1; i < attempt && d < c.opts.RetryCap; i++ {
 		d *= 2
@@ -375,16 +354,12 @@ func (c *Coordinator) backoff(attempt int, retryAfter time.Duration) time.Durati
 	if d > c.opts.RetryCap {
 		d = c.opts.RetryCap
 	}
-	d += c.jitter(d / 2)
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
+	return d + c.jitter(d/2)
 }
 
 // runPoint drives one point to a terminal state: bounded attempts with
-// backoff between them, each attempt possibly hedged. Terminal verdicts
-// stop immediately — retrying a deterministic failure wastes a backend.
+// backoff between them. Terminal verdicts stop immediately — retrying a
+// deterministic failure wastes a backend.
 func (c *Coordinator) runPoint(ctx context.Context, p Point) (*FigurePoint, error) {
 	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
 		v := c.attempt(ctx, p)
@@ -402,8 +377,7 @@ func (c *Coordinator) runPoint(ctx context.Context, p Point) (*FigurePoint, erro
 			break
 		}
 		c.count("retried:" + v.reason)
-		delay := c.backoff(attempt, v.retryAfter)
-		t := time.NewTimer(delay)
+		t := time.NewTimer(c.backoff(attempt))
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -416,7 +390,7 @@ func (c *Coordinator) runPoint(ctx context.Context, p Point) (*FigurePoint, erro
 	return nil, fmt.Errorf("retries exhausted after %d attempts", c.opts.MaxAttempts)
 }
 
-// verdict classes, in decreasing precedence when hedged posts disagree.
+// verdict classes of one attempt.
 type verdictClass int
 
 const (
@@ -427,145 +401,47 @@ const (
 )
 
 type verdict struct {
-	class      verdictClass
-	reason     string // stable discriminator for census outcome keys
-	detail     string // human-readable specifics
-	retryAfter time.Duration
-	fp         *FigurePoint
-	from       *backend
+	class  verdictClass
+	reason string // stable discriminator for census outcome keys
+	detail string // human-readable specifics
+	fp     *FigurePoint
 }
 
-// attempt runs one (possibly hedged) try: the point goes to the least
-// loaded admissible backend; if a hedge delay is configured and elapses
-// without a result, a duplicate goes to a second backend and the first
-// verdict wins. Losers are cancelled, not awaited to completion
-// server-side — the runner coalesces the duplicate onto the winner's
-// simulation anyway.
+// attempt runs one try: the point goes to the least loaded admissible
+// backend, waiting up to DispatchWait for one to admit it.
 func (c *Coordinator) attempt(ctx context.Context, p Point) verdict {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	primary := c.waitBackend(actx, nil)
-	if primary == nil {
+	b := c.waitBackend(ctx)
+	if b == nil {
 		if ctx.Err() != nil {
 			return verdict{class: verdictCanceled, reason: "canceled"}
 		}
 		return verdict{class: verdictTransient, reason: "no-backend",
 			detail: "no ready backend admitted the job"}
 	}
-
-	verdicts := make(chan verdict, 2)
-	var posts sync.WaitGroup
-	posts.Add(1)
-	go func() {
-		defer posts.Done()
-		verdicts <- c.post(actx, primary, p)
-	}()
-	launched := 1
-
-	var hedgeCh <-chan time.Time
-	if c.opts.Hedge > 0 {
-		ht := time.NewTimer(c.opts.Hedge)
-		defer ht.Stop()
-		hedgeCh = ht.C
-	}
-
-	var final verdict
-	decided := false
-	for got := 0; got < launched; {
-		select {
-		case <-hedgeCh:
-			hedgeCh = nil
-			if decided {
-				continue
-			}
-			// Only a different backend is worth a hedge; skip silently if
-			// none will take it right now.
-			if hb := c.pickBackend(time.Now(), primary); hb != nil {
-				c.count("hedge-launched")
-				launched++
-				posts.Add(1)
-				go func() {
-					defer posts.Done()
-					verdicts <- c.post(actx, hb, p)
-				}()
-			}
-		case v := <-verdicts:
-			got++
-			switch {
-			case decided:
-				// The loser's verdict: our own cancel produced it unless the
-				// loser finished on its own in the race window.
-				if launched > 1 {
-					c.count("hedge-lost")
-				}
-			case v.class == verdictOK || v.class == verdictTerminal:
-				// First decisive answer wins; cancel the other post.
-				final, decided = v, true
-				if launched > 1 && v.class == verdictOK {
-					c.count("hedge-won")
-					v.from.hedgeWins.Add(1)
-				}
-				cancel()
-			case got == launched && hedgeCh == nil:
-				// Every post came back indecisive: the attempt fails with the
-				// last transient reason (canceled only if the sweep itself is).
-				final = v
-			case v.class == verdictTransient:
-				// One post failed transiently but another is (or may yet be)
-				// in flight; remember the reason in case nothing better comes.
-				final = v
-			}
-		case <-ctx.Done():
-			cancel()
-			posts.Wait()
-			return verdict{class: verdictCanceled, reason: "canceled"}
-		}
-	}
-	posts.Wait()
-	if !decided && final.class == verdictCanceled && ctx.Err() == nil {
-		// Both posts raced our hedge cancel; treat as transient.
-		final = verdict{class: verdictTransient, reason: "hedge-race",
-			detail: "both hedged posts cancelled each other"}
-	}
-	if !decided && final.reason == "" {
-		final = verdict{class: verdictTransient, reason: "no-backend",
-			detail: "no post launched"}
-	}
-	return final
+	return c.post(ctx, b, p)
 }
 
 // pickBackend returns the admissible backend with the fewest jobs in
-// flight, excluding one (the hedge's primary), or nil. Candidates are
-// filtered and ordered first; breaker acquisition — which may claim the
-// single half-open probe slot — happens only in preference order.
-func (c *Coordinator) pickBackend(now time.Time, exclude *backend) *backend {
-	var cands []*backend
+// flight (the first such in backend order), or nil.
+func (c *Coordinator) pickBackend(now time.Time) *backend {
+	var best *backend
 	for _, b := range c.backends {
-		if b != exclude && b.dispatchable(now) {
-			cands = append(cands, b)
+		if b.admissible(now) && (best == nil || b.inflight.Load() < best.inflight.Load()) {
+			best = b
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].inflight.Load() < cands[j].inflight.Load()
-	})
-	for _, b := range cands {
-		if b.br.acquire(now) {
-			return b
-		}
-	}
-	return nil
+	return best
 }
 
 // waitBackend polls pickBackend until a backend admits the job, ctx
 // ends, or DispatchWait expires. The poll period is short relative to
-// probe intervals and breaker cooldowns, which are what actually gate
+// probe intervals and Retry-After windows, which are what actually gate
 // admission.
-func (c *Coordinator) waitBackend(ctx context.Context, exclude *backend) *backend {
+func (c *Coordinator) waitBackend(ctx context.Context) *backend {
 	deadline := time.NewTimer(c.opts.DispatchWait)
 	defer deadline.Stop()
 	for {
-		if b := c.pickBackend(time.Now(), exclude); b != nil {
+		if b := c.pickBackend(time.Now()); b != nil {
 			return b
 		}
 		t := time.NewTimer(25 * time.Millisecond)
@@ -581,18 +457,12 @@ func (c *Coordinator) waitBackend(ctx context.Context, exclude *backend) *backen
 	}
 }
 
-// post submits the point to one backend and classifies the outcome. The
-// classification implements the breaker contract: transport errors,
-// sheds and retryable simerr kinds are transient (breaker failures);
-// terminal kinds prove the backend responsive and reset the breaker —
-// they are the point's failure, not the backend's.
+// post submits the point to one backend and classifies the outcome.
+// Transport errors, sheds and retryable simerr kinds are transient;
+// terminal kinds are the point's failure, not the backend's. A transport
+// error or a malformed 200 also marks the backend down until its next
+// good probe, and a shed cools it for the server's Retry-After window.
 func (c *Coordinator) post(ctx context.Context, b *backend, p Point) verdict {
-	v := c.post1(ctx, b, p)
-	v.from = b
-	return v
-}
-
-func (c *Coordinator) post1(ctx context.Context, b *backend, p Point) verdict {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	b.dispatched.Add(1)
@@ -611,13 +481,11 @@ func (c *Coordinator) post1(ctx context.Context, b *backend, p Point) verdict {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		b.terminal.Add(1)
-		b.br.terminal()
 		return verdict{class: verdictTerminal, reason: "bad-spec", detail: err.Error()}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/jobs", bytes.NewReader(body))
 	if err != nil {
 		b.terminal.Add(1)
-		b.br.terminal()
 		return verdict{class: verdictTerminal, reason: "bad-url", detail: err.Error()}
 	}
 	req.Header.Set("Content-Type", "application/json")
@@ -625,13 +493,12 @@ func (c *Coordinator) post1(ctx context.Context, b *backend, p Point) verdict {
 	resp, err := b.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			// Our own cancel (hedge loser, sweep shutdown): not evidence
-			// against the backend.
-			b.br.abandon()
+			// Our own cancel (sweep shutdown): not evidence against the
+			// backend.
 			return verdict{class: verdictCanceled, reason: "canceled"}
 		}
+		b.down.Store(true)
 		b.transient.Add(1)
-		b.br.transient(time.Now())
 		return verdict{class: verdictTransient, reason: "transport", detail: err.Error()}
 	}
 	defer func() {
@@ -646,12 +513,11 @@ func (c *Coordinator) post1(ctx context.Context, b *backend, p Point) verdict {
 			if err != nil {
 				detail = err.Error()
 			}
+			b.down.Store(true)
 			b.transient.Add(1)
-			b.br.transient(time.Now())
 			return verdict{class: verdictTransient, reason: "bad-result", detail: detail}
 		}
 		b.ok.Add(1)
-		b.br.success()
 		return verdict{class: verdictOK, reason: "ok", fp: &FigurePoint{
 			Key:           p.Key,
 			Workload:      p.GP.Workload,
@@ -678,22 +544,17 @@ func (c *Coordinator) post1(ctx context.Context, b *backend, p Point) verdict {
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		// Shed or drain: the server told us when to come back. Cool this
-		// backend for the window so other points avoid it too.
-		after := retryAfterHint(resp, &eb)
-		now := time.Now()
-		b.cool(now, after)
+		// backend for the window; the retry goes to another backend, or
+		// waits the window out if there is none.
+		b.cool(time.Now(), retryAfterHint(resp, &eb))
 		b.shed.Add(1)
-		b.br.transient(now)
-		return verdict{class: verdictTransient, reason: "shed:" + kind,
-			detail: eb.Error, retryAfter: after}
+		return verdict{class: verdictTransient, reason: "shed:" + kind, detail: eb.Error}
 	default:
 		if eb.Retryable {
 			b.transient.Add(1)
-			b.br.transient(time.Now())
 			return verdict{class: verdictTransient, reason: kind, detail: eb.Error}
 		}
 		b.terminal.Add(1)
-		b.br.terminal()
 		return verdict{class: verdictTerminal, reason: kind, detail: eb.Error}
 	}
 }

@@ -20,8 +20,8 @@ import (
 )
 
 // stubResult is the deterministic JobResult a fake backend returns for a
-// spec: a pure function of the job fields, so every stub (and every
-// hedged duplicate) agrees — exactly the property real backends have.
+// spec: a pure function of the job fields, so every stub agrees —
+// exactly the property real backends have.
 func stubResult(spec serve.JobSpec) serve.JobResult {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%s|%v|%v|%d|%d",
@@ -143,8 +143,8 @@ func TestCoordinatorHappyPath(t *testing.T) {
 	}
 }
 
-// The assembled figure is byte-identical regardless of backend count,
-// parallelism or hedging: the defining determinism property.
+// The assembled figure is byte-identical regardless of backend count or
+// parallelism: the defining determinism property.
 func TestFigureByteIdentical(t *testing.T) {
 	b0 := newStub(t, nil)
 	ref, _, err := runSweep(t, testSpec(), Options{
@@ -159,7 +159,6 @@ func TestFigureByteIdentical(t *testing.T) {
 	b1, b2 := newStub(t, nil), newStub(t, nil)
 	opts := fastOpts(b0.URL, b1.URL, b2.URL)
 	opts.Parallel = 8
-	opts.Hedge = time.Millisecond // hedge aggressively: duplicates must not change bytes
 	fig, _, err := runSweep(t, testSpec(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -197,48 +196,86 @@ func TestRetriesTransientThenSucceeds(t *testing.T) {
 	}
 }
 
-// A shed cools the backend for the server's Retry-After window: the
-// retry waits it out and goes to the other backend.
-func TestShedHonorsRetryAfter(t *testing.T) {
-	shedder := newStub(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		respondJSON(w, http.StatusTooManyRequests, serve.ErrorBody{
-			Error: "queue full", Kind: "queue-full", Retryable: true, RetryAfterSeconds: 1,
-		})
-	})
-	ok := newStub(t, nil)
-	spec := &Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}}
-
-	start := time.Now()
-	fig, census, err := runSweep(t, spec, fastOpts(shedder.URL, ok.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Points) != 1 {
-		t.Fatalf("point did not complete: %v", census.Failed)
-	}
-	if elapsed := time.Since(start); elapsed < time.Second {
-		t.Fatalf("retry ignored the 1s Retry-After hint (took %v)", elapsed)
-	}
-	if census.Outcomes["retried:shed:queue-full"] == 0 {
-		t.Fatalf("outcomes: %v", census.Outcomes)
-	}
-	var shedB, okB BackendCensus
-	for _, b := range census.Backends {
-		switch b.URL {
-		case shedder.URL:
-			shedB = b
-		case ok.URL:
-			okB = b
+// shedFirst returns a /jobs handler that sheds its first n posts (every
+// post if n < 0) with a 1 s Retry-After and answers the rest.
+func shedFirst(t *testing.T, n int64) http.HandlerFunc {
+	var calls atomic.Int64
+	return func(w http.ResponseWriter, r *http.Request) {
+		spec := decodeSpec(t, r)
+		if n < 0 || calls.Add(1) <= n {
+			w.Header().Set("Retry-After", "1")
+			respondJSON(w, http.StatusTooManyRequests, serve.ErrorBody{
+				Error: "queue full", Kind: "queue-full", Retryable: true, RetryAfterSeconds: 1,
+			})
+			return
 		}
-	}
-	if shedB.Shed == 0 || okB.OK != 1 {
-		t.Fatalf("backend census: shed=%+v ok=%+v", shedB, okB)
+		respondJSON(w, http.StatusOK, stubResult(spec))
 	}
 }
 
+// backendCensus returns the census entry of the backend at url.
+func backendCensus(t *testing.T, census *Census, url string) BackendCensus {
+	t.Helper()
+	for _, b := range census.Backends {
+		if b.URL == url {
+			return b
+		}
+	}
+	t.Fatalf("no census entry for %s", url)
+	return BackendCensus{}
+}
+
+// A shed cools only its backend for the server's Retry-After window: the
+// retry goes to another backend at once, and a lone backend is waited
+// out until its window ends.
+func TestShedHonorsRetryAfter(t *testing.T) {
+	spec := &Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}}
+
+	t.Run("diverts", func(t *testing.T) {
+		shedder := newStub(t, shedFirst(t, -1))
+		ok := newStub(t, nil)
+		start := time.Now()
+		fig, census, err := runSweep(t, spec, fastOpts(shedder.URL, ok.URL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed >= time.Second {
+			t.Fatalf("retry sat out the shedder's window instead of diverting (took %v)", elapsed)
+		}
+		if len(fig.Points) != 1 || census.Outcomes["retried:shed:queue-full"] != 1 {
+			t.Fatalf("points=%d outcomes=%v", len(fig.Points), census.Outcomes)
+		}
+		if b := backendCensus(t, census, shedder.URL); b.Dispatched != 1 || b.Shed != 1 {
+			t.Fatalf("shedder got more than the one post that shed: %+v", b)
+		}
+		if b := backendCensus(t, census, ok.URL); b.OK != 1 {
+			t.Fatalf("healthy backend census: %+v", b)
+		}
+	})
+
+	t.Run("waits-alone", func(t *testing.T) {
+		lone := newStub(t, shedFirst(t, 1))
+		opts := fastOpts(lone.URL)
+		opts.DispatchWait = 5 * time.Second // one wait covers the whole window
+		start := time.Now()
+		fig, census, err := runSweep(t, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed < time.Second {
+			t.Fatalf("retry ignored the 1s Retry-After hint (took %v)", elapsed)
+		}
+		if len(fig.Points) != 1 || census.Outcomes["retried:shed:queue-full"] != 1 {
+			t.Fatalf("points=%d outcomes=%v", len(fig.Points), census.Outcomes)
+		}
+		if b := census.Backends[0]; b.Dispatched != 2 || b.Shed != 1 || b.OK != 1 {
+			t.Fatalf("backend census: %+v", b)
+		}
+	})
+}
+
 // Terminal verdicts stop the point immediately — no retry burns a
-// backend on a deterministic failure — and never trip the breaker.
+// backend on a deterministic failure.
 func TestTerminalFailsFast(t *testing.T) {
 	terminal := newStub(t, func(w http.ResponseWriter, r *http.Request) {
 		respondJSON(w, http.StatusUnprocessableEntity, serve.ErrorBody{
@@ -258,66 +295,81 @@ func TestTerminalFailsFast(t *testing.T) {
 		t.Fatalf("failure not typed: %q (census %v)", reason, census.Failed)
 	}
 	b := census.Backends[0]
-	if b.Dispatched != 1 || b.Terminal != 1 || b.BreakerState != "closed" {
-		t.Fatalf("terminal retried or tripped breaker: %+v", b)
+	if b.Dispatched != 1 || b.Terminal != 1 {
+		t.Fatalf("terminal retried: %+v", b)
 	}
 	if census.Outcomes["terminal:cycle-budget"] != 1 {
 		t.Fatalf("outcomes: %v", census.Outcomes)
 	}
 }
 
-// A straggling backend is hedged: the duplicate on the second backend
-// wins and the sweep finishes long before the straggler would have.
-func TestHedgingFirstResultWins(t *testing.T) {
-	slow := newStub(t, func(w http.ResponseWriter, r *http.Request) {
-		spec := decodeSpec(t, r)
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(10 * time.Second):
-		}
-		respondJSON(w, http.StatusOK, stubResult(spec))
-	})
-	fast := newStub(t, nil)
-	spec := &Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}}
-	opts := fastOpts(slow.URL, fast.URL)
-	opts.Parallel = 1 // one point in flight: the primary choice is deterministic
-	opts.Hedge = 50 * time.Millisecond
+// A backend whose /readyz answers but whose /jobs fails — a severed
+// connection or a malformed 200 — is down after each failure and sits
+// out until its next good probe, so traffic diverts to the healthy one:
+// the broken backend stops being hammered.
+func TestDownBackendDivertsTraffic(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		jobs    http.HandlerFunc // the broken backend's /jobs
+		retried string           // the outcome its failures land in
+	}{
+		// Healthy /readyz but every /jobs connection is severed: each good
+		// probe readmits the backend, and each post marks it down again.
+		{"transport", func(w http.ResponseWriter, r *http.Request) {
+			panic(http.ErrAbortHandler)
+		}, "retried:transport"},
+		{"bad-result", func(w http.ResponseWriter, r *http.Request) {
+			respondJSON(w, http.StatusOK, serve.JobResult{Schema: "bogus"})
+		}, "retried:bad-result"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			broken := newStub(t, tc.jobs)
+			ok := newStub(t, nil)
+			opts := fastOpts(broken.URL, ok.URL)
+			opts.Parallel = 1
 
-	start := time.Now()
-	fig, census, err := runSweep(t, spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Points) != 1 {
-		t.Fatalf("point did not complete: %v", census.Failed)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hedge did not rescue the straggler (took %v)", elapsed)
-	}
-	if census.Outcomes["hedge-launched"] != 1 || census.Outcomes["hedge-won"] != 1 {
-		t.Fatalf("outcomes: %v", census.Outcomes)
-	}
-	for _, b := range census.Backends {
-		if b.URL == fast.URL && b.HedgeWins != 1 {
-			t.Fatalf("hedge win not credited: %+v", b)
-		}
+			fig, census, err := runSweep(t, testSpec(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fig.Points) != 4 {
+				t.Fatalf("sweep incomplete: %v", census.Failed)
+			}
+			// Once down, the broken backend saw at most a few dispatches,
+			// not one per attempt of every point.
+			if b := backendCensus(t, census, broken.URL); b.Dispatched > 3 {
+				t.Fatalf("down backend did not divert traffic: %+v", b)
+			}
+			if census.Outcomes[tc.retried] == 0 {
+				t.Fatalf("outcomes: %v", census.Outcomes)
+			}
+		})
 	}
 }
 
-// Consecutive transport failures open the backend's breaker and traffic
-// diverts to the healthy one; the broken backend stops being hammered.
-func TestBreakerDivertsTraffic(t *testing.T) {
-	// Healthy /readyz but every /jobs connection is severed: the probe
-	// cannot save us, only the breaker can.
-	broken := newStub(t, func(w http.ResponseWriter, r *http.Request) {
-		panic(http.ErrAbortHandler)
+// A backend whose /readyz fails is down from its first probe on. Only a
+// post that raced that probe can reach it, and the stub holds such a post
+// until the second probe, by which time the first has marked it down.
+func TestFailedProbeKeepsBackendOut(t *testing.T) {
+	var probes atomic.Int64
+	secondProbe := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		if probes.Add(1) == 2 {
+			close(secondProbe)
+		}
+		w.WriteHeader(http.StatusServiceUnavailable)
 	})
+	mux.HandleFunc("/jobs", func(w http.ResponseWriter, r *http.Request) {
+		spec := decodeSpec(t, r)
+		<-secondProbe
+		respondJSON(w, http.StatusOK, stubResult(spec))
+	})
+	unready := httptest.NewServer(mux)
+	t.Cleanup(unready.Close)
 	ok := newStub(t, nil)
-	opts := fastOpts(broken.URL, ok.URL)
+	opts := fastOpts(unready.URL, ok.URL)
 	opts.Parallel = 1
-	opts.BreakerThreshold = 2
-	opts.BreakerCooldown = time.Minute // stays open for the whole test
 
 	fig, census, err := runSweep(t, testSpec(), opts)
 	if err != nil {
@@ -326,22 +378,32 @@ func TestBreakerDivertsTraffic(t *testing.T) {
 	if len(fig.Points) != 4 {
 		t.Fatalf("sweep incomplete: %v", census.Failed)
 	}
-	var brokenB BackendCensus
-	for _, b := range census.Backends {
-		if b.URL == broken.URL {
-			brokenB = b
+	if b := backendCensus(t, census, unready.URL); b.Dispatched > 1 {
+		t.Fatalf("unready backend got more than a post that raced its first probe: %+v", b)
+	}
+}
+
+// A lone backend that severs its first post is down only until its next
+// good probe: the retry waits for that probe and completes the sweep.
+func TestGoodProbeClearsDown(t *testing.T) {
+	var calls atomic.Int64
+	flaky := newStub(t, func(w http.ResponseWriter, r *http.Request) {
+		spec := decodeSpec(t, r)
+		if calls.Add(1) == 1 {
+			panic(http.ErrAbortHandler)
 		}
+		respondJSON(w, http.StatusOK, stubResult(spec))
+	})
+	spec := &Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}}
+	fig, census, err := runSweep(t, spec, fastOpts(flaky.URL))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if brokenB.BreakerOpens == 0 || brokenB.BreakerState != "open" {
-		t.Fatalf("breaker never opened: %+v", brokenB)
+	if len(fig.Points) != 1 || census.Outcomes["retried:transport"] != 1 {
+		t.Fatalf("points=%d outcomes=%v", len(fig.Points), census.Outcomes)
 	}
-	// Once open, the broken backend saw at most threshold+a few dispatches,
-	// not one per attempt of every point.
-	if brokenB.Dispatched > 3 {
-		t.Fatalf("open breaker did not divert traffic: %+v", brokenB)
-	}
-	if census.Outcomes["retried:transport"] == 0 {
-		t.Fatalf("outcomes: %v", census.Outcomes)
+	if b := census.Backends[0]; b.Dispatched != 2 || b.Transient != 1 || b.OK != 1 {
+		t.Fatalf("backend census: %+v", b)
 	}
 }
 

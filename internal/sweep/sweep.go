@@ -7,24 +7,17 @@
 // The coordinator is fault-tolerant by construction:
 //
 //   - Multi-backend sharding with load-aware dispatch: each job goes to
-//     a ready backend (health-probed via /readyz) with the fewest jobs
-//     in flight.
-//   - Bounded retries with exponential backoff that honors the server's
-//     Retry-After hint on 429/503 sheds, so client backpressure follows
-//     the service's own admission control.
-//   - Hedged requests: a straggling job is re-issued on a second backend
-//     after a hedge delay; the first result wins and the loser is
-//     cancelled. Hedged duplicates are safe because a job's identity is
-//     its full config key and identical in-flight jobs coalesce
-//     server-side.
-//   - Per-backend circuit breakers (closed/open/half-open): consecutive
-//     transient failures — transport errors, sheds, retryable
-//     simerr-taxonomy kinds — open the breaker and divert traffic;
-//     after a cooldown one half-open probe job decides whether to close
-//     it again. Terminal kinds (bad requests, deterministic budget
-//     failures, contained panics) prove the backend responsive and
-//     never trip the breaker: they are the point's failure, not the
-//     backend's.
+//     the admissible backend with the fewest jobs in flight.
+//   - One admission rule per backend. A backend is down after a failed
+//     /readyz probe, a transport error or a malformed 200, and only its
+//     next successful probe readmits it. A 429/503 shed cools the
+//     backend for the server's Retry-After window, so the retry goes to
+//     another backend, and a lone backend is waited out.
+//   - Bounded retries with exponential backoff for transient failures:
+//     transport errors, sheds and retryable simerr-taxonomy kinds.
+//     Terminal kinds (bad requests, deterministic budget failures,
+//     contained panics) fail the point at once: they are the point's
+//     failure, not the backend's.
 //   - A checkpoint file (sweepckpt/v1, atomic temp+rename after every
 //     completed point) so -resume re-runs only the missing points. A
 //     truncated, corrupt or stale-schema checkpoint is a counted,
@@ -34,7 +27,7 @@
 // The assembled figure JSON is deterministic: points are sorted by
 // their canonical key and carry only simulation outputs (which are a
 // pure function of config+program), so the bytes are identical
-// regardless of backend count, hedging, retries, or the resume path.
+// regardless of backend count, retries, or the resume path.
 package sweep
 
 import (
@@ -240,7 +233,7 @@ func (s *Spec) ID() string {
 // FigurePoint is one completed point's simulation outputs: a pure
 // function of config+program (no wall-clock, attempt or cache metadata),
 // which is what makes the assembled figure byte-identical across
-// backends, hedging, retries and resume.
+// backends, retries and resume.
 type FigurePoint struct {
 	Key      string `json:"key"`
 	Workload string `json:"workload"`
