@@ -197,8 +197,8 @@ type Config struct {
 // StreamSpec is the canonical description of one memory access stream:
 // the queue in front of a cache, that cache's parameters, its port
 // arbitration, and the stream-local optimizations. The legacy flat Config
-// fields map onto a slice of these via Streams(); internal/memsys builds
-// one Stream per spec.
+// fields map onto a slice of these via Streams(); the core builds one
+// memsys.Stream and one access queue per spec.
 type StreamSpec struct {
 	// Name labels the stream in statistics and traces ("LSQ", "LVAQ").
 	Name string

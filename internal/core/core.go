@@ -72,7 +72,6 @@ type uop struct {
 	// Memory state.
 	isMem, isLoad bool
 	stream        int // primary stream index (memsys)
-	qnode         memsys.Node
 	addrKnown     bool
 	addrAt        uint64 // cycle the effective address becomes available
 	valueKnown    bool   // stores: data operand ready
@@ -106,20 +105,19 @@ type uop struct {
 	fastForwarded bool
 
 	// Fast-forward scan memo (tryFastForward): ffState caches the last
-	// scan's outcome, valid while the stream's structure generation
-	// (Core.qGen) still equals ffGen. ffCand is the matched store whose
-	// value the load is waiting on in the ffWaiting state.
+	// scan's outcome until dual resolution clears it (wakeStream). ffCand
+	// is the matched store whose value the load is waiting on in the
+	// ffWaiting state.
 	ffState uint8
-	ffGen   uint64
 	ffCand  *uop
 
-	// Order-scan memo (processLoad): the §3.1 scan's verdict, valid under
-	// the same generation guard. osCand is the store the verdict hinges
-	// on — the unresolved store blocking the load (osStallAddr), the
-	// matched store whose value is awaited (osFwdWait), or the partially
-	// overlapping store being waited out (osPartial).
+	// Order-scan memo (processLoad): the §3.1 scan's verdict, cached until
+	// dual resolution clears it (wakeStream). osCand is the store the
+	// verdict hinges on — the unresolved store blocking the load
+	// (osStallAddr), the matched store whose value is awaited
+	// (osFwdWait), or the partially overlapping store being waited out
+	// (osPartial).
 	osState uint8
-	osGen   uint64
 	osCand  *uop
 
 	// Backward link and membership flag of the not-yet-issued list
@@ -128,6 +126,11 @@ type uop struct {
 	// order.
 	issuePrev *uop
 	inIssueQ  bool
+
+	// Per-stream queue bookkeeping: the entry's position ticket in each
+	// stream's queue and whether it occupies that queue (stream.ring).
+	qTick [memsys.MaxStreams]uint64
+	inQ   [memsys.MaxStreams]bool
 
 	// Intrusive links of the per-stream pending-access lists
 	// (processStream): for each stream whose queue holds this entry and
@@ -139,11 +142,11 @@ type uop struct {
 	// memWake lets the pending-access walk skip a load whose every
 	// memory-stage visit is provably a no-op until this cycle: a
 	// pre-address load with no bypass upside (fast forwarding disabled,
-	// or a generation-valid ffBlocked memo) does nothing until its own
-	// address generation. Zero means awake; memSleepAgen means asleep
-	// until the entry's own issue rewrites the bound to addrAt. Every
-	// structure-generation bump wakes the whole stream (wakeStream),
-	// because the bound was derived from a memo the bump invalidates.
+	// or an ffBlocked memo) does nothing until its own address
+	// generation. Zero means awake; memSleepAgen means asleep until the
+	// entry's own issue rewrites the bound to addrAt. Dual resolution,
+	// which clears the fast-forward memo a bound may rest on, wakes both
+	// streams (wakeStream).
 	memWake uint64
 
 	// Dependence wakeup (issueStage): rather than re-polling its
@@ -217,12 +220,6 @@ func (u *uop) pendingAccess() bool {
 	}
 	return !u.completed
 }
-
-// QueueNode implements memsys.Entry.
-func (u *uop) QueueNode() *memsys.Node { return &u.qnode }
-
-// OrderSeq implements memsys.Entry.
-func (u *uop) OrderSeq() uint64 { return u.seq }
 
 // TraceEvent is the per-instruction pipeline timeline delivered to a
 // Tracer. All cycle stamps are absolute; zero means "did not happen".
@@ -302,10 +299,11 @@ type Core struct {
 	cfg config.Config
 	emu *emu.Machine
 
-	// streams are the memory access streams (memsys); stream 0 is the
+	// streams are the memory access streams, each a memsys stream and
+	// the core's queue in front of it (queue.go); stream 0 is the
 	// conventional LSQ/L1 stream. localIdx and nonlocalIdx name the
 	// steering targets for local and non-local classifications.
-	streams     []*memsys.Stream
+	streams     []*stream
 	localIdx    int
 	nonlocalIdx int
 
@@ -337,26 +335,6 @@ type Core struct {
 	// the entries that can still consume an issue slot instead of the
 	// whole ROB ring.
 	issueHead, issueTail *uop
-
-	// qGen is a per-stream structure generation: bumped on any queue
-	// mutation that can change a cached scan verdict (squash, mid-queue
-	// remove/transfer, dual resolution). A uop's cached scan results
-	// (ffState, osState) are valid only while its stream's generation is
-	// unchanged. Head retires deliberately do NOT bump it: removing the
-	// oldest entry can only delete potential blockers or matches below a
-	// scan's stopping point, never add one, so a negative verdict stays
-	// negative — and the two positive-wait verdicts are retire-proof
-	// (an unresolved or value-less store cannot commit, and a forwarding
-	// match completes no earlier than the cycle its consumer load
-	// forwards from it). The one verdict that waits FOR a retire,
-	// osPartial, carries an explicit queue-liveness check instead.
-	qGen [memsys.MaxStreams]uint64
-
-	// pendHead/pendTail hold, per stream, the queued entries with
-	// memory-stage work left (pendingAccess), in program order.
-	// processStream walks only these — an entry with its access done is
-	// inert in the memory stage by construction.
-	pendHead, pendTail [memsys.MaxStreams]*uop
 
 	// sched collects future wake cycles (fill completions, agen latency,
 	// recovery-stall expiry, MSHR frees) for the event-driven engine;
@@ -682,60 +660,13 @@ func (c *Core) issueUnlink(u *uop) {
 	u.issueNext, u.issuePrev = nil, nil
 }
 
-// pendPush appends u to stream id's pending list. Entries are pushed in
-// dispatch (= program) order; the one out-of-order arrival — a misroute
-// transfer — is the youngest entry in the machine by the time it moves
-// (everything younger was just squashed), so a tail append is always
-// ordered.
-func (c *Core) pendPush(id int, u *uop) {
-	u.inPend[id] = true
-	u.pendPrev[id] = c.pendTail[id]
-	if c.pendTail[id] != nil {
-		c.pendTail[id].pendNext[id] = u
-	} else {
-		c.pendHead[id] = u
-	}
-	c.pendTail[id] = u
-}
-
-// pendUnlink removes u from stream id's pending list. Idempotent.
-func (c *Core) pendUnlink(id int, u *uop) {
-	if !u.inPend[id] {
-		return
-	}
-	u.inPend[id] = false
-	if u.pendPrev[id] != nil {
-		u.pendPrev[id].pendNext[id] = u.pendNext[id]
-	} else {
-		c.pendHead[id] = u.pendNext[id]
-	}
-	if u.pendNext[id] != nil {
-		u.pendNext[id].pendPrev[id] = u.pendPrev[id]
-	} else {
-		c.pendTail[id] = u.pendPrev[id]
-	}
-	u.pendNext[id], u.pendPrev[id] = nil, nil
-}
-
 // pendDrop unlinks u from every stream's pending list (both copies of a
-// dual-steered entry). Callers invoke it exactly when u stops being
-// pending: on the completion transition, or when a still-pending entry
-// is removed by a squash.
+// dual-steered entry) at its completion transition, when it stops being
+// pending. An entry leaving a queue still pending is unlinked by the
+// queue mutator that removes it (queue.go).
 func (c *Core) pendDrop(u *uop) {
-	for id := range u.inPend {
-		c.pendUnlink(id, u)
-	}
-}
-
-// wakeStream clears the sleep bound of every entry still pending in
-// stream id. Called wherever the stream's structure generation is
-// bumped: the bump invalidates the fast-forward memo a sleeping load's
-// bound was justified by, so the load must resume per-cycle visits (its
-// next one re-runs the scan). Bumps are recovery events — misroutes,
-// dual-steering kills, squashes — so the walk is off the hot path.
-func (c *Core) wakeStream(id int) {
-	for u := c.pendHead[id]; u != nil; u = u.pendNext[id] {
-		u.memWake = 0
+	for _, s := range c.streams {
+		s.pendUnlink(u)
 	}
 }
 
@@ -786,7 +717,10 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 			LineBytes: spec.Cache.LineBytes, Assoc: spec.Cache.Assoc,
 			HitLatency: spec.Cache.HitLatency,
 		}, c.l2)
-		c.streams = append(c.streams, memsys.NewStream(id, spec, sc))
+		c.streams = append(c.streams, &stream{
+			Stream: memsys.NewStream(id, spec, sc),
+			ring:   make([]*uop, robCap),
+		})
 		if spec.Local {
 			c.localIdx = id
 		} else {

@@ -58,7 +58,8 @@ func memBoundConfig() config.Config {
 // event-driven engine: on every workload, for a spread of machine
 // configurations (unified, decoupled, decoupled with both §2.2.2
 // optimizations, a memory-bound cache geometry, ablation-lvaq's 8-entry
-// LVAQ, and dual and static steering of hint-stripped programs), the
+// LVAQ, and dual — plain and with both optimizations — and static
+// steering of hint-stripped programs), the
 // event engine must produce a Result that is bit-identical to the tick
 // engine's — cycles, every stall counter, every occupancy integral,
 // every cache statistic.
@@ -72,6 +73,7 @@ func TestEngineIdentityAllWorkloads(t *testing.T) {
 	lvaq8.LVAQSize = 8
 	dual := config.Default().WithPorts(3, 2)
 	dual.Steering = config.SteerDual
+	dualOpt := dual.WithOptimizations(2)
 	static := config.Default().WithPorts(3, 2)
 	static.Steering = config.SteerStatic
 	configs := []struct {
@@ -85,6 +87,7 @@ func TestEngineIdentityAllWorkloads(t *testing.T) {
 		{"mem-bound(2+2)", memBoundConfig(), false},
 		{"optimized-lvaq8(3+2)", lvaq8, false},
 		{"dual-stripped(3+2)", dual, true},
+		{"dual-stripped-opt(3+2)", dualOpt, true},
 		{"static-stripped(3+2)", static, true},
 	}
 	scale := 0.02

@@ -60,7 +60,7 @@ func (c *Core) addWake(cycle uint64) {
 // never registered it (a store commit does not wait for its fill), so a
 // fill due at now+1 is not known to be in the heap and is registered too:
 // otherwise a quiescent stall cycle would skip straight past it.
-func (c *Core) addMSHRWake(s *memsys.Stream) {
+func (c *Core) addMSHRWake(s *stream) {
 	if w := s.NextWake(c.now); w > 0 {
 		c.sched.Add(w)
 	}
@@ -84,24 +84,29 @@ func (c *Core) commitStage() {
 		if u.isMem && c.fi != nil && len(c.streams) > 1 && c.fi.CommitDesync(u.seq) {
 			// Injected fault: corrupt the core's record of which stream
 			// the access occupies without moving the queue entry. The
-			// CommitStore/Retire head-only invariants below must catch
-			// the lie and panic; RunWith contains it into a SimError.
+			// head-only invariants of store commit and retire below must
+			// catch the lie and panic; RunWith contains it into a
+			// SimError.
 			u.stream = (u.stream + 1) % len(c.streams)
 		}
 		if u.isMem && !u.isLoad {
 			// Stores write their stream's cache at commit and need a
 			// port (paper §3.1); commits on a combining stream
-			// participate in access combining. CommitStore requires the
-			// store to be its stream's oldest entry — commit order is
-			// program order, so anything else would be a pipeline bug.
-			status, combined := c.streams[u.stream].CommitStore(c.now, u, u.ef.Addr, u.combineGroup)
+			// participate in access combining. The store must be its
+			// stream's oldest entry — commit order is program order, so
+			// anything else would be a pipeline bug.
+			s := c.streams[u.stream]
+			if !s.isHead(u) {
+				panic("core: committing a store that is not its stream's head")
+			}
+			status, combined := s.CommitStore(c.now, u.ef.Addr, u.combineGroup)
 			if status != memsys.CommitOK {
 				// Port or MSHR stall: retry next cycle. On an MSHR
 				// stall the port stays consumed, as it would in
 				// hardware — and the stall holds until a fill frees an
 				// MSHR, so that completion is the next wake.
 				if status == memsys.CommitMSHRStall {
-					c.addMSHRWake(c.streams[u.stream])
+					c.addMSHRWake(s)
 				}
 				break
 			}
@@ -110,7 +115,7 @@ func (c *Core) commitStage() {
 		c.progressed = true
 		c.robPopHead()
 		if u.isMem {
-			c.streams[u.stream].Retire(c.now, u)
+			c.retire(c.streams[u.stream], u)
 		}
 		// The committed value is architectural now; producer() would
 		// answer nil anyway, so drop the rename-table self reference to
@@ -134,8 +139,7 @@ func (c *Core) commitStage() {
 			c.fetchDone = true
 			c.robTruncate(0)
 			for _, s := range c.streams {
-				s.Drain(c.now)
-				c.pendHead[s.ID], c.pendTail[s.ID] = nil, nil
+				c.drain(s)
 			}
 			c.issueHead, c.issueTail = nil, nil
 			// Every outstanding wake belonged to the drained pipeline.
@@ -165,8 +169,8 @@ func (c *Core) memoryStage() {
 // every entry.
 //
 //ddvet:hotpath
-func (c *Core) processStream(s *memsys.Stream) {
-	for u := c.pendHead[s.ID]; u != nil; {
+func (c *Core) processStream(s *stream) {
+	for u := s.pendHead; u != nil; {
 		// Processing u can only unlink u itself, so the successor is
 		// stable across the body.
 		next := u.pendNext[s.ID]
@@ -229,7 +233,7 @@ func (c *Core) updateStore(u *uop) {
 	}
 }
 
-func (c *Core) processLoad(s *memsys.Stream, u *uop) {
+func (c *Core) processLoad(s *stream, u *uop) {
 	// Fast data forwarding (§2.2.2): on a fast-forwarding stream, a
 	// store→load pair with the same base register, stack generation and
 	// offset can bypass before either effective address is computed.
@@ -239,7 +243,7 @@ func (c *Core) processLoad(s *memsys.Stream, u *uop) {
 	if !u.addrKnown || u.addrAt > c.now {
 		// Pre-address, every visit is this same no-op unless the bypass
 		// above could fire. With no bypass upside — fast forwarding off,
-		// or a generation-valid "no bypass" verdict — sleep until the
+		// or a memoized "no bypass" verdict — sleep until the
 		// address arrives (the load's own issue sets the bound).
 		if !s.Spec.FastForward || u.ffState == ffBlocked {
 			if u.addrKnown {
@@ -251,59 +255,59 @@ func (c *Core) processLoad(s *memsys.Stream, u *uop) {
 		return
 	}
 
-	// Memoized verdict of the last §3.1 order scan, valid while the
-	// stream's structure generation is unchanged. Every verdict hinges on
-	// facts that are sticky for a fixed queue prefix — a store's address,
-	// once known, stays known; overlap is a function of known addresses —
-	// plus at most one store's evolving readiness, which is rechecked
-	// live. Rerunning the scan could therefore only repeat the verdict.
-	if u.osState != osNone && u.osGen == c.qGen[u.stream] {
-		switch u.osState {
-		case osStallAddr:
-			if st := u.osCand; !st.addrKnown || st.addrAt > c.now {
-				c.stats.LoadOrderStalls++
-				return
-			}
-			// The blocking store resolved: rescan from scratch.
-		case osFwdWait:
-			if st := u.osCand; st.valueKnown && st.valueAt <= c.now {
-				c.forwardLoad(s, u, st)
-			} else {
-				// The registration from the memo set is still pending
-				// (it drains exactly at the transition we are waiting
-				// for), so sleeping until its delivery is safe.
-				u.memWake = memSleepPush
-			}
-			return
-		case osPartial:
-			if s.Queue.Contains(u.osCand) {
-				c.stats.PartialOverlapStalls++
-				return
-			}
-			// The overlapping store drained at commit: rescan. (The
-			// liveness probe is safe against recycling — a retired store
-			// leaves the queue before its uop can recycle, and re-entry
-			// into this queue cannot happen before the dispatch stage,
-			// which runs after this one.)
-		case osClear:
-			c.loadAccess(s, s.Queue.IndexOf(u), u)
+	// Memoized verdict of the last §3.1 order scan. Every verdict hinges
+	// on facts that are sticky for a fixed queue prefix — a store's
+	// address, once known, stays known; overlap is a function of known
+	// addresses — plus at most one store's evolving readiness, which is
+	// rechecked live. Dual resolution, which removes a copy from the
+	// middle of a queue, clears the memo (wakeStream); no other queue
+	// mutation can turn a verdict. Rerunning the scan could therefore
+	// only repeat the verdict.
+	switch u.osState {
+	case osStallAddr:
+		if st := u.osCand; !st.addrKnown || st.addrAt > c.now {
+			c.stats.LoadOrderStalls++
 			return
 		}
+		// The blocking store resolved: rescan from scratch.
+	case osFwdWait:
+		if st := u.osCand; st.valueKnown && st.valueAt <= c.now {
+			c.forwardLoad(s, u, st)
+		} else {
+			// The registration from the memo set is still pending
+			// (it drains exactly at the transition we are waiting
+			// for), so sleeping until its delivery is safe.
+			u.memWake = memSleepPush
+		}
+		return
+	case osPartial:
+		if s.contains(u.osCand) {
+			c.stats.PartialOverlapStalls++
+			return
+		}
+		// The overlapping store drained at commit: rescan. (The
+		// liveness probe is safe against recycling — a retired store
+		// leaves the queue before its uop can recycle, and re-entry
+		// into this queue cannot happen before the dispatch stage,
+		// which runs after this one.)
+	case osClear:
+		c.loadAccess(s, s.indexOf(u), u)
+		return
 	}
 
 	// A load may proceed only when the addresses of all previous stores
 	// in its stream are known (paper §3.1, applied per stream §2.1).
 	// Only the scan paths need the queue position, so it is resolved
 	// this late: the memoized waits above get by without it.
-	pos := s.Queue.IndexOf(u)
+	pos := s.indexOf(u)
 	var match *uop
 	for j := pos - 1; j >= 0; j-- {
-		st := s.Queue.At(j).(*uop)
+		st := s.at(j)
 		if st.isLoad {
 			continue
 		}
 		if !st.addrKnown || st.addrAt > c.now {
-			u.osState, u.osGen, u.osCand = osStallAddr, c.qGen[u.stream], st
+			u.osState, u.osCand = osStallAddr, st
 			c.stats.LoadOrderStalls++
 			return
 		}
@@ -316,7 +320,7 @@ func (c *Core) processLoad(s *memsys.Stream, u *uop) {
 		if match.sameAccess(u) {
 			// Store-to-load forwarding inside the stream: 1 cycle, no
 			// cache access, no port.
-			u.osState, u.osGen, u.osCand = osFwdWait, c.qGen[u.stream], match
+			u.osState, u.osCand = osFwdWait, match
 			if match.valueKnown && match.valueAt <= c.now {
 				c.forwardLoad(s, u, match)
 			} else {
@@ -330,17 +334,17 @@ func (c *Core) processLoad(s *memsys.Stream, u *uop) {
 		}
 		// Partially overlapping store: wait until it commits and drains
 		// from the stream, then access the cache.
-		u.osState, u.osGen, u.osCand = osPartial, c.qGen[u.stream], match
+		u.osState, u.osCand = osPartial, match
 		c.stats.PartialOverlapStalls++
 		return
 	}
-	u.osState, u.osGen = osClear, c.qGen[u.stream]
+	u.osState = osClear
 	c.loadAccess(s, pos, u)
 }
 
 // forwardLoad completes a load by in-stream store-to-load forwarding
 // from match (paper §3.1): 1 cycle, no cache access, no port.
-func (c *Core) forwardLoad(s *memsys.Stream, u, match *uop) {
+func (c *Core) forwardLoad(s *stream, u, match *uop) {
 	u.readyAt = c.now + 1
 	u.completed, u.accessDone = true, true
 	u.fwdFrom = match
@@ -353,7 +357,7 @@ func (c *Core) forwardLoad(s *memsys.Stream, u, match *uop) {
 // loadAccess sends an order-clear load to its stream's port arbiter and
 // cache. Port and MSHR stalls retry here every cycle — arbitration and
 // combining are per-cycle state, so only the scan above is memoizable.
-func (c *Core) loadAccess(s *memsys.Stream, pos int, u *uop) {
+func (c *Core) loadAccess(s *stream, pos int, u *uop) {
 	granted, combined := s.Grant(pos, u.ef.Addr, true, u.combineGroup)
 	if !granted {
 		s.Stats.LoadPortStalls++
@@ -382,17 +386,18 @@ func (c *Core) loadAccess(s *memsys.Stream, pos int, u *uop) {
 // to the normal path) at any frame-generation boundary or at any store
 // whose offset is unknown (non-$sp/$fp base), because such a store might
 // alias the load.
-func (c *Core) tryFastForward(s *memsys.Stream, u *uop) bool {
+func (c *Core) tryFastForward(s *stream, u *uop) bool {
 	if u.accessDone {
 		return true
 	}
-	// Memoized outcome of the last full scan, valid while the stream's
-	// structure is unchanged. Everything the scan inspects besides the
-	// matched store's value readiness is immutable for a fixed queue
-	// prefix (base registers, offsets, stack generations; a store's dual
-	// flag and the prefix itself are covered by the generation bump), so
-	// re-running the walk can only repeat the cached verdict.
-	if u.ffState != ffNone && u.ffGen == c.qGen[u.stream] {
+	// Memoized outcome of the last full scan. Everything the scan
+	// inspects besides the matched store's value readiness is immutable
+	// for a fixed queue prefix (base registers, offsets, stack
+	// generations). A store's dual flag and the prefix's middle change
+	// only at dual resolution, which clears the memo (wakeStream explains
+	// why no other queue mutation needs to), so re-running the walk could
+	// only repeat the cached verdict.
+	if u.ffState != ffNone {
 		if u.ffState == ffBlocked {
 			return false
 		}
@@ -408,9 +413,8 @@ func (c *Core) tryFastForward(s *memsys.Stream, u *uop) bool {
 		}
 		return false
 	}
-	u.ffState, u.ffCand = ffNone, nil
 	if u.dual || (u.baseReg != isa.RegSP && u.baseReg != isa.RegFP) {
-		u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
+		u.ffState = ffBlocked
 		return false
 	}
 	// Under ForwardStatic the bypass only fires for loads with a
@@ -419,36 +423,36 @@ func (c *Core) tryFastForward(s *memsys.Stream, u *uop) bool {
 	if c.cfg.ForwardStatic {
 		d := c.decodedAt(u.ef.PC)
 		if !d.hasFwd {
-			u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
+			u.ffState = ffBlocked
 			return false
 		}
 		wantStore = d.fwdStore
 	}
-	for j := s.Queue.IndexOf(u) - 1; j >= 0; j-- {
-		st := s.Queue.At(j).(*uop)
+	for j := s.indexOf(u) - 1; j >= 0; j-- {
+		st := s.at(j)
 		if st.isLoad {
 			continue
 		}
 		if st.dual {
 			// Unresolved ambiguous store: might alias anything.
-			u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
+			u.ffState = ffBlocked
 			return false
 		}
 		if st.spGen != u.spGen {
-			u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
+			u.ffState = ffBlocked
 			return false
 		}
 		if st.baseReg != isa.RegSP && st.baseReg != isa.RegFP {
-			u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
+			u.ffState = ffBlocked
 			return false
 		}
 		if st.baseReg == u.baseReg && st.ef.Inst.Imm == u.ef.Inst.Imm {
 			if st.ef.Bytes != u.ef.Bytes {
-				u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
+				u.ffState = ffBlocked
 				return false
 			}
 			if c.cfg.ForwardStatic && st.ef.PC != wantStore {
-				u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
+				u.ffState = ffBlocked
 				return false
 			}
 			if st.valueKnown && st.valueAt <= c.now {
@@ -459,7 +463,7 @@ func (c *Core) tryFastForward(s *memsys.Stream, u *uop) bool {
 			// queue changes shape. The store's value transition wakes us,
 			// so a pre-address load can sleep meanwhile (once the address
 			// is known the normal path below may have work every cycle).
-			u.ffState, u.ffGen, u.ffCand = ffWaiting, c.qGen[u.stream], st
+			u.ffState, u.ffCand = ffWaiting, st
 			c.watchFwdValue(u, st)
 			if !u.addrKnown {
 				u.memWake = memSleepAgen
@@ -467,12 +471,12 @@ func (c *Core) tryFastForward(s *memsys.Stream, u *uop) bool {
 			return false
 		}
 	}
-	u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
+	u.ffState = ffBlocked
 	return false
 }
 
 // fastForward completes a load via the §2.2.2 offset bypass from store st.
-func (c *Core) fastForward(s *memsys.Stream, u, st *uop) {
+func (c *Core) fastForward(s *stream, u, st *uop) {
 	u.readyAt = c.now + 1
 	u.completed, u.accessDone = true, true
 	u.fwdFrom = st
@@ -703,13 +707,12 @@ func (c *Core) dispatchStage() {
 					c.stats.LocalStores++
 				}
 			}
-			c.streams[target].Dispatch(c.now, u)
-			c.pendPush(target, u)
+			c.enqueue(c.streams[target], u)
+			c.streams[target].Stats.Dispatched++
 			if dual {
 				// The shadow copy occupies the other stream until the
 				// address resolves.
-				c.streams[c.route(!local)].Insert(c.now, u)
-				c.pendPush(c.route(!local), u)
+				c.enqueue(c.streams[c.route(!local)], u)
 				c.stats.DualInserted++
 			}
 		}
@@ -730,10 +733,10 @@ func (c *Core) dispatchStage() {
 // fault has transiently shrunk its effective capacity.
 func (c *Core) streamFull(id int) bool {
 	s := c.streams[id]
-	if c.fi != nil && s.Occupancy() >= c.fi.QueueCap(id, s.Spec.QueueSize) {
+	if c.fi != nil && s.n >= c.fi.QueueCap(id, s.Spec.QueueSize) {
 		return true
 	}
-	return s.Full()
+	return s.n >= s.Spec.QueueSize
 }
 
 // producer returns the in-flight producer of r, or nil when the
@@ -776,13 +779,10 @@ func (c *Core) checkSteering(u *uop) {
 			c.streams[u.stream].Stats.Dispatched--
 			c.streams[right].Stats.Dispatched++
 		}
-		wrong := c.route(!local)
-		c.pendUnlink(wrong, u)
-		c.streams[wrong].Remove(c.now, u)
-		c.qGen[wrong]++
-		c.qGen[right]++
+		wrong := c.streams[c.route(!local)]
+		c.dequeue(wrong, u)
 		c.wakeStream(wrong)
-		c.wakeStream(right)
+		c.wakeStream(c.streams[right])
 		u.stream = right
 		u.dual = false
 		return
@@ -802,18 +802,14 @@ func (c *Core) checkSteering(u *uop) {
 	// front end for the refill penalty. The squashed instructions replay
 	// from their recorded effects.
 	c.squashYounger(u)
-	if u.pendingAccess() {
-		// squashYounger just removed everything younger than u, so u is
-		// the youngest access in the machine: the tail append keeps the
-		// destination list in program order.
-		c.pendUnlink(u.stream, u)
-		c.pendPush(right, u)
-	}
-	memsys.Transfer(c.now, c.streams[u.stream], c.streams[right], u)
-	c.qGen[u.stream]++
-	c.qGen[right]++
-	c.wakeStream(u.stream)
-	c.wakeStream(right)
+	// u is now the youngest access in the machine, so the tail append
+	// keeps the destination queue in program order; the dispatch count
+	// follows the access.
+	from, to := c.streams[u.stream], c.streams[right]
+	c.dequeue(from, u)
+	c.enqueue(to, u)
+	from.Stats.Dispatched--
+	to.Stats.Dispatched++
 	u.stream = right
 	if until := c.now + c.cfg.RecoveryPenalty; until > c.dispatchStallUntil {
 		c.dispatchStallUntil = until
@@ -840,9 +836,6 @@ func (c *Core) squashYounger(u *uop) {
 	for i := idx + 1; i < c.robN; i++ {
 		v := c.robAt(i)
 		if v.isMem {
-			if v.pendingAccess() {
-				c.pendDrop(v)
-			}
 			if v.isLoad {
 				c.stats.Loads--
 			} else {
@@ -869,9 +862,7 @@ func (c *Core) squashYounger(u *uop) {
 	}
 
 	for _, s := range c.streams {
-		s.Squash(c.now, u.seq)
-		c.qGen[s.ID]++
-		c.wakeStream(s.ID)
+		c.squash(s, u.seq)
 	}
 
 	// Recycle the squashed entries: first release every dep they hold (a

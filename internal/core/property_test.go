@@ -148,11 +148,11 @@ func TestRandomProgramsMatchEmulator(t *testing.T) {
 func assertStreamsDrained(t *testing.T, c *Core, ctx string) {
 	t.Helper()
 	for _, s := range c.streams {
-		if occ := s.Occupancy(); occ != 0 {
+		if s.n != 0 {
 			t.Fatalf("%s: stream %s finished with occupancy %d, want 0",
-				ctx, s.Spec.Name, occ)
+				ctx, s.Spec.Name, s.n)
 		}
-		if left := s.Drain(c.now); left != 0 {
+		if left := c.drain(s); left != 0 {
 			t.Fatalf("%s: stream %s drained %d residual entries, want 0",
 				ctx, s.Spec.Name, left)
 		}

@@ -166,7 +166,7 @@ func (c *Core) result() *Result {
 	// changes); fold the final constant-length tail through the last cycle.
 	c.flushROBOcc()
 	for _, s := range c.streams {
-		s.FlushOccupancy(c.now)
+		s.syncOcc(c.now)
 	}
 	r := &Result{
 		Stats:     c.stats,

@@ -161,16 +161,16 @@ main:
 	}
 }
 
-// An injected stream-bookkeeping corruption must be caught by the memsys
-// head-only invariants and contained into a KindPanic SimError instead of
-// crashing the process.
+// An injected stream-bookkeeping corruption must be caught by the
+// head-only invariants of the core's memory queues and contained into a
+// KindPanic SimError instead of crashing the process.
 func TestPanicContainmentOnCommitDesync(t *testing.T) {
 	cfg := config.Default().WithPorts(2, 2)
 	_, err := runWith(t, fibProgram, cfg,
 		RunOptions{Injector: &stubInjector{desyncAt: 1}})
 	se := asSimError(t, err, simerr.KindPanic)
-	if !strings.Contains(se.Reason, "memsys") {
-		t.Errorf("panic reason %q does not name the memsys invariant", se.Reason)
+	if !strings.Contains(se.Reason, "not its stream's head") {
+		t.Errorf("panic reason %q does not name the stream-head invariant", se.Reason)
 	}
 	if se.Stack == "" {
 		t.Error("contained panic carries no stack trace")

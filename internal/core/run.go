@@ -103,7 +103,7 @@ type FaultInjector interface {
 	// CommitDesync, consulted when a memory instruction reaches the
 	// commit head, reports whether the core's stream bookkeeping for it
 	// should be corrupted — a deliberate invariant violation that must be
-	// caught by the memory subsystem's head-only-commit checks and
+	// caught by the core's head-only checks on its memory queues and
 	// contained into a typed error.
 	CommitDesync(seq uint64) bool
 }
@@ -346,7 +346,7 @@ func (c *Core) snapshot() simerr.Snapshot {
 		left, line, group := st.CombineWindow()
 		ss := simerr.StreamState{
 			Name:         st.Spec.Name,
-			Len:          st.Occupancy(),
+			Len:          st.n,
 			Cap:          st.Spec.QueueSize,
 			Ports:        st.Ports.Limit(),
 			PortsInUse:   st.Ports.InUse(),
@@ -354,8 +354,8 @@ func (c *Core) snapshot() simerr.Snapshot {
 			CombineLine:  line,
 			CombineGroup: group,
 		}
-		if st.Occupancy() > 0 {
-			ss.Head = entryState(st.Queue.Head().(*uop))
+		if st.n > 0 {
+			ss.Head = entryState(st.at(0))
 		}
 		s.Streams = append(s.Streams, ss)
 	}

@@ -206,6 +206,61 @@ func TestRunnerPanickingRunReleasesWaiters(t *testing.T) {
 	}
 }
 
+// TestRunnerWaiterRerunsAfterOwnerCancel: a caller never inherits another
+// caller's abort. The owner of an in-flight key is canceled mid-run; a
+// waiter on the same key then claims it and simulates under its own
+// context, so it gets a fresh, successful result. This is why ddserve
+// never retries a canceled attempt.
+func TestRunnerWaiterRerunsAfterOwnerCancel(t *testing.T) {
+	r := NewRunner(0.05)
+	w, err := workload.ByName("mgrid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default()
+	key := cfgKey(w.Name, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, err := r.ResultCtx(ctx, w, cfg)
+		ownerErr <- err
+	}()
+	for {
+		r.mu.Lock()
+		_, busy := r.inflight[key]
+		r.mu.Unlock()
+		if busy {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	type outcome struct {
+		res *core.Result
+		err error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		res, err := r.Result(w, cfg)
+		waiter <- outcome{res, err}
+	}()
+	// Give the waiter time to block on the owner's run. Should it arrive
+	// only after the abort, it claims the key itself, and the assertions
+	// below hold either way.
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+
+	var se *simerr.SimError
+	if err := <-ownerErr; !errors.As(err, &se) || se.Kind != simerr.KindCanceled {
+		t.Fatalf("owner error = %v, want a %s SimError", err, simerr.KindCanceled)
+	}
+	got := <-waiter
+	if got.err != nil || got.res == nil || got.res.Committed == 0 {
+		t.Fatalf("waiter = (%v, %v), want a fresh successful result", got.res, got.err)
+	}
+}
+
 // TestPrefetchBoundsGoroutines verifies the semaphore is taken before each
 // worker is spawned: with par=3, no more than 3 simulations ever run at
 // once, and every worker goroutine exits by the time the batch returns.

@@ -29,7 +29,7 @@
 //     dispatch back-pressure.
 //   - CommitDesync: corrupts the core's stream bookkeeping for one memory
 //     access at its commit point — a deliberate invariant violation that
-//     the memory subsystem's head-only-commit checks must catch and the
+//     the core's head-only checks on its memory queues must catch and the
 //     run must contain into a KindPanic SimError. Unlike the other kinds
 //     this fault is not recoverable by design; it proves the containment
 //     path.

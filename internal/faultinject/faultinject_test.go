@@ -112,7 +112,8 @@ func TestRecoverableFaultsPreserveArchitecture(t *testing.T) {
 }
 
 // CommitDesync is the unrecoverable fault: it must end in a contained
-// KindPanic SimError naming the memsys invariant, never a process crash.
+// KindPanic SimError naming the stream-head invariant, never a process
+// crash.
 func TestCommitDesyncIsContained(t *testing.T) {
 	inj := New(3, Params{Faults: CommitDesync, DesyncAfter: 25})
 	_, err := run(t, "vortex", 0.02, inj, core.RunOptions{})
@@ -126,8 +127,8 @@ func TestCommitDesyncIsContained(t *testing.T) {
 	if se.Kind != simerr.KindPanic {
 		t.Fatalf("kind = %s, want %s", se.Kind, simerr.KindPanic)
 	}
-	if !strings.Contains(se.Reason, "memsys") {
-		t.Errorf("reason %q does not name the memsys invariant", se.Reason)
+	if !strings.Contains(se.Reason, "not its stream's head") {
+		t.Errorf("reason %q does not name the stream-head invariant", se.Reason)
 	}
 	if inj.Stats().Desyncs != 1 {
 		t.Errorf("Desyncs = %d, want 1", inj.Stats().Desyncs)

@@ -7,189 +7,6 @@ import (
 	"repro/internal/config"
 )
 
-// testEntry is a minimal queue occupant.
-type testEntry struct {
-	seq  uint64
-	node Node
-}
-
-func (e *testEntry) QueueNode() *Node { return &e.node }
-func (e *testEntry) OrderSeq() uint64 { return e.seq }
-
-func entries(n int) []*testEntry {
-	es := make([]*testEntry, n)
-	for i := range es {
-		es[i] = &testEntry{seq: uint64(i)}
-	}
-	return es
-}
-
-// checkOrder asserts the queue holds exactly want, oldest first, with
-// consistent O(1) position lookups.
-func checkOrder(t *testing.T, q *Queue, want []*testEntry) {
-	t.Helper()
-	if q.Len() != len(want) {
-		t.Fatalf("Len() = %d, want %d", q.Len(), len(want))
-	}
-	for i, e := range want {
-		if q.At(i) != e {
-			t.Fatalf("At(%d) = seq %d, want seq %d", i, q.At(i).OrderSeq(), e.seq)
-		}
-		if got := q.IndexOf(e); got != i {
-			t.Fatalf("IndexOf(seq %d) = %d, want %d", e.seq, got, i)
-		}
-		if !q.Contains(e) {
-			t.Fatalf("Contains(seq %d) = false, want true", e.seq)
-		}
-	}
-}
-
-func TestQueuePushPopOrder(t *testing.T) {
-	q := NewQueue(0, 4)
-	es := entries(6)
-	for _, e := range es {
-		q.Push(e)
-	}
-	checkOrder(t, q, es)
-	if q.Head() != es[0] {
-		t.Fatalf("Head() = seq %d, want 0", q.Head().OrderSeq())
-	}
-	for i, e := range es {
-		if got := q.PopHead(); got != e {
-			t.Fatalf("PopHead #%d = seq %d, want seq %d", i, got.OrderSeq(), e.seq)
-		}
-		if q.Contains(e) {
-			t.Fatalf("popped entry seq %d still reported in queue", e.seq)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len() = %d after draining, want 0", q.Len())
-	}
-}
-
-// TestQueueGrowWrapped pushes through several grow cycles with the head
-// wrapped around the ring, the regime where reindexing bugs would show.
-func TestQueueGrowWrapped(t *testing.T) {
-	q := NewQueue(0, 16)
-	es := entries(200)
-	live := []*testEntry{}
-	for i, e := range es {
-		q.Push(e)
-		live = append(live, e)
-		if i%3 == 0 { // rotate the ring so head != 0 when growing
-			q.PopHead()
-			live = live[1:]
-		}
-	}
-	checkOrder(t, q, live)
-}
-
-func TestQueueRemove(t *testing.T) {
-	q := NewQueue(0, 8)
-	es := entries(5)
-	for _, e := range es {
-		q.Push(e)
-	}
-
-	q.Remove(es[2]) // mid-queue: younger side shifts down
-	checkOrder(t, q, []*testEntry{es[0], es[1], es[3], es[4]})
-
-	q.Remove(es[0]) // head removal
-	checkOrder(t, q, []*testEntry{es[1], es[3], es[4]})
-
-	q.Remove(es[4]) // tail removal
-	checkOrder(t, q, []*testEntry{es[1], es[3]})
-
-	if q.IndexOf(es[2]) != -1 || q.Contains(es[2]) {
-		t.Fatal("removed entry still indexed")
-	}
-}
-
-func TestQueueTruncateYounger(t *testing.T) {
-	q := NewQueue(0, 8)
-	es := entries(6)
-	for _, e := range es {
-		q.Push(e)
-	}
-	if got := q.TruncateYounger(2); got != 3 {
-		t.Fatalf("TruncateYounger(2) removed %d, want 3", got)
-	}
-	checkOrder(t, q, es[:3])
-	for _, e := range es[3:] {
-		if q.Contains(e) {
-			t.Fatalf("squashed entry seq %d still in queue", e.seq)
-		}
-	}
-	// Re-pushing after a squash (misroute replay) must work.
-	q.Push(es[3])
-	checkOrder(t, q, es[:4])
-}
-
-func TestQueueClear(t *testing.T) {
-	q := NewQueue(0, 8)
-	es := entries(4)
-	for _, e := range es {
-		q.Push(e)
-	}
-	if got := q.Clear(); got != 4 {
-		t.Fatalf("Clear() = %d, want 4", got)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len() = %d after Clear, want 0", q.Len())
-	}
-	for _, e := range es {
-		if q.Contains(e) {
-			t.Fatalf("cleared entry seq %d still in queue", e.seq)
-		}
-	}
-}
-
-// TestDualMembership verifies an entry can occupy two streams at once with
-// independent positions — the SteerDual shadow-copy representation.
-func TestDualMembership(t *testing.T) {
-	q0, q1 := NewQueue(0, 8), NewQueue(1, 8)
-	filler := entries(3)
-	for _, e := range filler {
-		q0.Push(e)
-	}
-	dual := &testEntry{seq: 10}
-	q0.Push(dual)
-	q1.Push(dual)
-	if got := q0.IndexOf(dual); got != 3 {
-		t.Fatalf("IndexOf in stream 0 = %d, want 3", got)
-	}
-	if got := q1.IndexOf(dual); got != 0 {
-		t.Fatalf("IndexOf in stream 1 = %d, want 0", got)
-	}
-	q1.Remove(dual) // kill the shadow copy
-	if q1.Contains(dual) {
-		t.Fatal("shadow copy still in stream 1 after kill")
-	}
-	if got := q0.IndexOf(dual); got != 3 {
-		t.Fatalf("primary copy moved: IndexOf = %d, want 3", got)
-	}
-}
-
-func mustPanic(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s did not panic", name)
-		}
-	}()
-	fn()
-}
-
-func TestQueuePanics(t *testing.T) {
-	q := NewQueue(0, 8)
-	e := &testEntry{seq: 0}
-	q.Push(e)
-	mustPanic(t, "double Push", func() { q.Push(e) })
-	absent := &testEntry{seq: 1}
-	mustPanic(t, "Remove of absent entry", func() { q.Remove(absent) })
-	mustPanic(t, "NewQueue with bad id", func() { NewQueue(MaxStreams, 8) })
-}
-
 func testStream(t *testing.T) *Stream {
 	t.Helper()
 	mem := &cache.MainMemory{Name: "mem", Latency: 20}
@@ -208,33 +25,6 @@ func testStream(t *testing.T) *Stream {
 		CombineWidth: 1,
 	}
 	return NewStream(0, spec, l1)
-}
-
-// TestCommitStoreRequiresHead is the regression for the old slice-based
-// core, where commitStage looked the committing store up with a linear
-// scan that could miss (index -1) and silently corrupt port arbitration.
-// The stream API makes that state unrepresentable: committing anything but
-// the stream's oldest entry panics.
-func TestCommitStoreRequiresHead(t *testing.T) {
-	s := testStream(t)
-	older, younger := &testEntry{seq: 0}, &testEntry{seq: 1}
-	s.Dispatch(1, older)
-	s.Dispatch(1, younger)
-
-	s.Reset()
-	mustPanic(t, "CommitStore on non-head", func() { s.CommitStore(1, younger, 0x100, GroupNone) })
-	mustPanic(t, "Retire of non-head", func() { s.Retire(1, younger) })
-
-	notQueued := &testEntry{seq: 2}
-	mustPanic(t, "CommitStore on unqueued entry", func() { s.CommitStore(1, notQueued, 0x100, GroupNone) })
-
-	if status, _ := s.CommitStore(1, older, 0x100, GroupNone); status != CommitOK {
-		t.Fatalf("CommitStore on head = %v, want CommitOK", status)
-	}
-	s.Retire(1, older)
-	if s.Occupancy() != 1 {
-		t.Fatalf("Occupancy() = %d after retiring head, want 1", s.Occupancy())
-	}
 }
 
 // TestStreamCombining exercises the per-stream combining window: one port
@@ -306,44 +96,6 @@ func TestCombineWindowWidthBoundary(t *testing.T) {
 	}
 }
 
-// TestCombineWindowClosesOnSquash is the satellite regression: a mid-cycle
-// squash shifts queue positions, so an access granted after the squash
-// must not ride the stale window even if its new position and line match.
-func TestCombineWindowClosesOnSquash(t *testing.T) {
-	s := combiningStream(t, false)
-	es := entries(4)
-	for _, e := range es {
-		s.Dispatch(1, e)
-	}
-	if ok, _ := s.Grant(1, 0x100, true, GroupNone); !ok {
-		t.Fatal("anchor grant refused")
-	}
-	s.Squash(1, 0) // drop seqs 1..3
-	// Same line, position inside the old window: must need its own port,
-	// and the single port is already consumed.
-	if ok, combined := s.Grant(1, 0x104, true, GroupNone); ok || combined {
-		t.Fatalf("post-squash grant = (%v,%v), want (false,false)", ok, combined)
-	}
-
-	// Same for Remove and Drain.
-	s.Reset()
-	if ok, _ := s.Grant(0, 0x100, true, GroupNone); !ok {
-		t.Fatal("anchor grant refused")
-	}
-	s.Remove(1, es[0])
-	if _, combined := s.Grant(0, 0x104, true, GroupNone); combined {
-		t.Fatal("window survived Remove")
-	}
-	s.Reset()
-	if ok, _ := s.Grant(0, 0x100, true, GroupNone); !ok {
-		t.Fatal("anchor grant refused")
-	}
-	s.Drain(1)
-	if _, combined := s.Grant(0, 0x104, true, GroupNone); combined {
-		t.Fatal("window survived Drain")
-	}
-}
-
 // TestCombineStaticGating: under CombineStatic only members of one proven
 // group may open or ride the combining window.
 func TestCombineStaticGating(t *testing.T) {
@@ -380,35 +132,5 @@ func TestCombineStaticGating(t *testing.T) {
 	}
 	if ok, combined := dyn.Grant(1, 0x104, true, 8); !ok || !combined {
 		t.Fatalf("dynamic cross-group grant = (%v,%v), want (true,true)", ok, combined)
-	}
-}
-
-func TestStreamTransfer(t *testing.T) {
-	mem := &cache.MainMemory{Name: "mem", Latency: 20}
-	l2 := cache.New(cache.Config{
-		Name: "L2", SizeBytes: 1 << 16, LineBytes: 64, Assoc: 4,
-		HitLatency: 4, MSHRs: 8,
-	}, mem)
-	mk := func(id int, name string) *Stream {
-		return NewStream(id, config.StreamSpec{
-			Name: name, QueueSize: 8, Ports: 1, PortModel: config.PortsIdeal,
-			Cache: config.CacheParams{
-				SizeBytes: 1 << 12, LineBytes: 32, Assoc: 2, HitLatency: 1,
-			},
-			CombineWidth: 1,
-		}, cache.New(cache.Config{
-			Name: name, SizeBytes: 1 << 12, LineBytes: 32, Assoc: 2, HitLatency: 1,
-		}, l2))
-	}
-	a, b := mk(0, "LSQ"), mk(1, "LVAQ")
-	e := &testEntry{seq: 0}
-	a.Dispatch(1, e)
-	Transfer(1, a, b, e)
-	if a.Occupancy() != 0 || b.Occupancy() != 1 {
-		t.Fatalf("occupancies after Transfer = %d/%d, want 0/1", a.Occupancy(), b.Occupancy())
-	}
-	if a.Stats.Dispatched != 0 || b.Stats.Dispatched != 1 {
-		t.Fatalf("dispatch counters after Transfer = %d/%d, want 0/1",
-			a.Stats.Dispatched, b.Stats.Dispatched)
 	}
 }

@@ -32,9 +32,7 @@ func TestGrantHookDeniesPorts(t *testing.T) {
 	}
 
 	// A denying hook must also stall a commit-time store write.
-	e := &testEntry{seq: 0}
-	s.Dispatch(1, e)
-	if status, _ := s.CommitStore(1, e, 0x100, GroupNone); status != CommitPortStall {
+	if status, _ := s.CommitStore(1, 0x100, GroupNone); status != CommitPortStall {
 		t.Fatalf("CommitStore under denying hook = %v, want CommitPortStall", status)
 	}
 

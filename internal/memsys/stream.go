@@ -26,7 +26,7 @@ type Stats struct {
 	LoadMSHRStalls  uint64
 	StoreMSHRStalls uint64
 
-	Occupancy uint64 // integral of queue length over cycles
+	Occupancy uint64 // integral of the pipeline's queue length over cycles
 }
 
 // CommitStatus is the outcome of a store's commit-time cache access.
@@ -41,14 +41,14 @@ const (
 	CommitMSHRStall
 )
 
-// Stream is one memory access stream: a program-ordered access queue in
-// front of a cache, the per-cycle port state of that cache, and the
-// stream's statistics. The pipeline steers each memory instruction to a
-// stream at dispatch and drives all streams uniformly every cycle.
+// Stream is the cache side of one memory access stream: the cache, the
+// per-cycle port state in front of it, and the stream's statistics. The
+// pipeline steers each memory instruction to a stream at dispatch, keeps
+// the stream's access queue itself, and drives all streams uniformly
+// every cycle.
 type Stream struct {
 	ID    int
 	Spec  config.StreamSpec
-	Queue *Queue
 	Cache *cache.Cache
 	Ports Ports
 	Stats Stats
@@ -71,17 +71,6 @@ type Stream struct {
 	combineIsLoad bool
 	combineAnchor int
 	combineGroup  int
-
-	// occSynced is the last cycle whose occupancy sample has been folded
-	// into Stats.Occupancy (lazy interval accumulation: the integral is
-	// advanced only when the queue length changes, not every cycle). The
-	// legacy sample point is the memory stage — after the cycle's commits,
-	// before its dispatches — and the sync calls in the mutators below
-	// reproduce it exactly: commit-stage mutators (Retire, Drain)
-	// accumulate through now-1 so the current cycle samples the shrunken
-	// queue, post-sample mutators (Dispatch, Insert, Remove, Squash)
-	// accumulate through now so the current cycle samples the old length.
-	occSynced uint64
 }
 
 // GroupNone marks an access that belongs to no statically-proven
@@ -94,7 +83,6 @@ func NewStream(id int, spec config.StreamSpec, c *cache.Cache) *Stream {
 	return &Stream{
 		ID:    id,
 		Spec:  spec,
-		Queue: NewQueue(id, spec.QueueSize),
 		Cache: c,
 		Ports: NewPorts(spec.PortModel, spec.Ports, spec.Cache.LineBytes),
 	}
@@ -106,23 +94,12 @@ func (s *Stream) Reset() {
 	s.combineLeft = 0
 }
 
-// Occupancy returns the current number of queued accesses.
-func (s *Stream) Occupancy() int { return s.Queue.Len() }
-
-// syncOcc folds cycles (occSynced, through] into the occupancy integral at
-// the current queue length. Call before any length change: the cycles
-// since the last change all sampled the old length.
-func (s *Stream) syncOcc(through uint64) {
-	if through > s.occSynced {
-		s.Stats.Occupancy += (through - s.occSynced) * uint64(s.Queue.Len())
-		s.occSynced = through
-	}
-}
-
-// FlushOccupancy folds the tail of the occupancy integral (cycles since
-// the last queue mutation, through the given final cycle) into the stats.
-// The pipeline calls it once, when building the result.
-func (s *Stream) FlushOccupancy(now uint64) { s.syncOcc(now) }
+// CloseWindow closes the combining window mid-cycle. The pipeline calls
+// it whenever its queue changes shape under the window: the window's
+// anchor is a queue position, which a removal or a squash may leave
+// naming a different access, and no access may ride a grant won by one
+// that has left the queue.
+func (s *Stream) CloseWindow() { s.combineLeft = 0 }
 
 // NextWake reports the earliest cycle strictly after now at which this
 // stream can make progress it could not make now, or 0 when it holds no
@@ -132,36 +109,6 @@ func (s *Stream) FlushOccupancy(now uint64) { s.syncOcc(now) }
 // both reset at the next cycle boundary, so they never block longer than
 // one cycle on their own.
 func (s *Stream) NextWake(now uint64) uint64 { return s.Cache.NextFillDone(now) }
-
-// Full reports whether the queue has reached its architectural size.
-func (s *Stream) Full() bool { return s.Queue.Len() >= s.Spec.QueueSize }
-
-// Dispatch inserts a primary access at the queue tail (during cycle now's
-// dispatch stage, after the cycle's occupancy sample) and counts it.
-func (s *Stream) Dispatch(now uint64, e Entry) {
-	s.syncOcc(now)
-	s.Queue.Push(e)
-	s.Stats.Dispatched++
-}
-
-// Insert inserts an access at the queue tail without counting it as
-// dispatched here: the shadow copy of a dual-steered access, or an access
-// re-steered into this stream by misroute recovery (the recovery path
-// adjusts the dispatch counters explicitly).
-func (s *Stream) Insert(now uint64, e Entry) {
-	s.syncOcc(now)
-	s.Queue.Push(e)
-}
-
-// Remove deletes an access from the queue (dual-copy kill, misroute
-// recovery; both run after cycle now's occupancy sample). Panics if e is
-// not in this stream. Removal shifts younger entries down, invalidating
-// the combining window's position anchor, so the window closes.
-func (s *Stream) Remove(now uint64, e Entry) {
-	s.syncOcc(now)
-	s.Queue.Remove(e)
-	s.combineLeft = 0
-}
 
 // Grant arbitrates a cache port for one access at queue position pos this
 // cycle. A granted access on a combining stream opens a combining window:
@@ -204,17 +151,13 @@ func (s *Stream) CombineWindow() (left int, line uint32, group int) {
 }
 
 // CommitStore performs a store's commit-time cache write: arbitrate a
-// port (participating in combining), then access the cache. The entry
-// must be the queue head — memory instructions commit in program order,
-// so a store that is not its stream's oldest entry is a pipeline bug and
-// panics. On CommitMSHRStall the port stays consumed, as it would in
-// hardware; the caller retries next cycle.
+// port for queue position 0 (participating in combining), then access
+// the cache. The pipeline commits a store only from its queue's head. On
+// CommitMSHRStall the port stays consumed, as it would in hardware; the
+// caller retries next cycle.
 //
 //ddvet:hotpath
-func (s *Stream) CommitStore(now uint64, e Entry, addr uint32, group int) (CommitStatus, bool) {
-	if s.Queue.Len() == 0 || s.Queue.Head() != e {
-		panic("memsys: CommitStore on an entry that is not the stream head")
-	}
+func (s *Stream) CommitStore(now uint64, addr uint32, group int) (CommitStatus, bool) {
 	ok, combined := s.Grant(0, addr, false, group)
 	if !ok {
 		s.Stats.StorePortStalls++
@@ -225,55 +168,4 @@ func (s *Stream) CommitStore(now uint64, e Entry, addr uint32, group int) (Commi
 		return CommitMSHRStall, false
 	}
 	return CommitOK, combined
-}
-
-// Retire removes a committing access from the queue head during cycle
-// now's commit stage — before the cycle's occupancy sample, so the
-// integral is advanced only through now-1. Commit order is program order,
-// so the access must be the oldest entry; anything else is a pipeline bug
-// and panics.
-//
-//ddvet:hotpath
-func (s *Stream) Retire(now uint64, e Entry) {
-	if s.Queue.Len() == 0 || s.Queue.Head() != e {
-		panic("memsys: retiring an entry that is not the stream head")
-	}
-	if now > 0 {
-		s.syncOcc(now - 1)
-	}
-	s.Queue.PopHead()
-}
-
-// Squash removes every access younger than maxSeq and returns how many
-// were dropped. A squash mid-cycle must also close the combining window:
-// its anchor is a queue position that may now name a different (younger,
-// re-dispatched) access, and a post-recovery access must not ride a grant
-// won by a squashed one.
-func (s *Stream) Squash(now, maxSeq uint64) int {
-	s.syncOcc(now)
-	s.combineLeft = 0
-	return s.Queue.TruncateYounger(maxSeq)
-}
-
-// Drain empties the queue (at the commit stage of cycle now, before the
-// cycle's occupancy sample) and returns how many entries were still in
-// flight — 0 for a cleanly drained pipeline, which tests assert. The
-// combining window cannot survive without its anchor entry.
-func (s *Stream) Drain(now uint64) int {
-	if now > 0 {
-		s.syncOcc(now - 1)
-	}
-	s.combineLeft = 0
-	return s.Queue.Clear()
-}
-
-// Transfer moves a wrongly-steered access from one stream to another
-// (misroute recovery): it is removed from its old queue, appended to the
-// new one — recovery squashed everything younger, so the tail position is
-// its program-order slot — and the dispatch accounting follows it.
-func Transfer(now uint64, from, to *Stream, e Entry) {
-	from.Remove(now, e)
-	to.Insert(now, e)
-	from.Stats.Dispatched--
-	to.Stats.Dispatched++
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
 // Admission-control errors. They are the queue's whole failure surface:
@@ -30,8 +29,6 @@ type job struct {
 	// ctx is the submitting request's context: client disconnects and
 	// per-request cancels propagate through it into the running core.
 	ctx context.Context
-
-	enqueued time.Time
 
 	res      *JobResult
 	err      error

@@ -14,11 +14,10 @@
 //   - Typed terminal states: every admitted job ends in a result, a
 //     structured error JSON carrying the typed simerr kind (with the
 //     pipeline snapshot), or a shed/drain rejection. Nothing hangs.
-//   - Bounded retries: transient failures (watchdog, deadline — and
-//     canceled/deadline aborts inherited from a shared in-flight run the
-//     job did not own) retry with exponential backoff and jitter;
-//     deterministic failures (panic, unsound config, cycle budgets) do
-//     not.
+//   - Bounded retries: transient failures (a watchdog abort, or an
+//     attempt's own timeout while the job is still wanted) retry with
+//     exponential backoff and jitter; deterministic failures (panic,
+//     unsound config, cycle budgets) do not.
 //   - Cancellation: the client's request context propagates into the
 //     running core, so a dropped client frees its worker within one
 //     context-poll interval.
@@ -316,13 +315,14 @@ func (s *Server) runAttempt(j *job, attempt int) (*core.Result, error) {
 // else is terminal.
 //
 // Retryable kinds: watchdog (livelock under transient contention —
-// injected faults and shared-run interference make these genuinely
-// transient), deadline, and canceled/deadline aborts a job inherited
-// from a shared in-flight run it did not own (the job's own context is
-// still live, so a fresh attempt can succeed). Terminal kinds: panic,
-// max-cycles, cycle-budget (deterministic — a retry replays the same
-// failure), the job's own cancel/timeout, and every non-simulation error
-// (bad config, bad program: the client's to fix).
+// injected faults make these genuinely transient) and deadline (the
+// per-attempt timeout fired while the job's own context is still live,
+// so a fresh attempt can succeed). A job never inherits another job's
+// abort: when the owner of a shared in-flight run fails, the runner has
+// each waiter simulate again under its own context. Terminal kinds:
+// panic, max-cycles, cycle-budget (deterministic — a retry replays the
+// same failure), the job's own cancel/timeout, a forced drain, and every
+// non-simulation error (bad config, bad program: the client's to fix).
 func (s *Server) retryDecision(j *job, err error, attempts int) (bool, time.Duration) {
 	if attempts > s.opts.MaxRetries {
 		return false, 0
@@ -334,13 +334,7 @@ func (s *Server) retryDecision(j *job, err error, attempts int) (bool, time.Dura
 	if !errors.As(err, &se) {
 		return false, 0
 	}
-	switch se.Kind {
-	case simerr.KindWatchdog:
-	case simerr.KindDeadline, simerr.KindCanceled:
-		// The job's own context is live (checked above), so this abort
-		// came from the per-attempt timeout or from sharing a run with a
-		// job that cancelled or timed out first — both worth a retry.
-	default:
+	if se.Kind != simerr.KindWatchdog && se.Kind != simerr.KindDeadline {
 		return false, 0
 	}
 	wait := s.opts.RetryBase << (attempts - 1)

@@ -142,8 +142,8 @@ func TestFacadeSimErrorOnInvariantViolation(t *testing.T) {
 	if se.Kind != SimPanic {
 		t.Fatalf("kind = %s, want %s", se.Kind, SimPanic)
 	}
-	if !strings.Contains(se.Reason, "memsys") {
-		t.Errorf("reason %q does not name the violated memsys invariant", se.Reason)
+	if !strings.Contains(se.Reason, "not its stream's head") {
+		t.Errorf("reason %q does not name the violated stream-head invariant", se.Reason)
 	}
 	if se.Snapshot.Cycle == 0 {
 		t.Error("snapshot does not record the failure cycle")
