@@ -53,18 +53,6 @@ type uop struct {
 	dest    isa.Reg
 	hasDest bool
 
-	// dep are the producers of the source operands (nil when the operand
-	// was ready at dispatch). For memory instructions dep[0] is the base
-	// address register producer; for stores dep[1] produces the stored
-	// value.
-	dep [2]*uop
-
-	// refs counts consumers still holding this uop in their dep slots;
-	// dead marks a committed (or squashed) uop whose recycling into the
-	// free pool is deferred until the last consumer releases it.
-	refs int32
-	dead bool
-
 	issued    bool // has consumed its issue slot (agen for memory ops)
 	completed bool // result computed / store ready to commit
 	readyAt   uint64
@@ -74,9 +62,8 @@ type uop struct {
 	stream        int // primary stream index (memsys)
 	addrKnown     bool
 	addrAt        uint64 // cycle the effective address becomes available
-	valueKnown    bool   // stores: data operand ready
-	valueAt       uint64
-	accessDone    bool // load has obtained its data (cache or forward)
+	valueAt       uint64 // stores: data usable from this cycle on (watchStoreValue)
+	accessDone    bool   // load has obtained its data (cache or forward)
 	fwdFrom       *uop
 
 	// Fast-forwarding key (§2.2.2): base register identity, the
@@ -149,26 +136,31 @@ type uop struct {
 	// streams (wakeStream).
 	memWake uint64
 
-	// Dependence wakeup (issueStage): rather than re-polling its
-	// producers every cycle, a consumer counts the incomplete producers
-	// gating its issue (depsPending) and carries the latest known
-	// operand-arrival bound (issueWake); each producer records its
+	// Dependence wakeup (issueStage): as in sim-outorder, a consumer
+	// keeps no pointer to its producers. It counts the incomplete
+	// producers gating its issue (depsPending) and carries the latest
+	// known operand-arrival bound (issueWake); each producer records its
 	// waiting consumers and pushes its readyAt once, at completion.
-	// Stale records — a squashed consumer's slot, a recycled entry — are
-	// filtered at push time by the (allocGen, dep-slot) validity check,
-	// so squash paths never have to edit waiter lists.
+	// pushReady filters stale records by allocGen, so squash paths never
+	// edit waiter lists.
 	waiters  []waitRef
 	allocGen uint32
 }
 
-// waitRef names one registered wait: consumer w's dep slot, valid only
-// while w is still the same allocation and the slot still holds the
-// producer.
+// waitRef names one registered wait of consumer w, valid only while w is
+// still the same allocation, and what the producer's event delivers.
 type waitRef struct {
 	w    *uop
 	gen  uint32
-	slot uint8
+	kind uint8
 }
+
+// Wait kinds: what an event of the producer delivers to consumer w.
+const (
+	waitIssue      uint8 = iota // an operand gating w's issue: depsPending, issueWake
+	waitStoreValue              // store w's data, which gates only its completion: valueAt, memWake
+	waitFwdValue                // the data arrival of the store load w would forward from: memWake
+)
 
 // Fast-forward memo states.
 const (
@@ -187,19 +179,6 @@ const (
 	memSleepAgen = ^uint64(0)
 	memSleepPush = ^uint64(0) - 1
 )
-
-// wrSlotStoreValue marks a waitRef registered by a store against its
-// data producer: delivery rewrites the store's memory-stage sleep bound
-// (memWake) instead of the issue gate, because a store's data operand
-// never gates its issue — only its completion.
-const wrSlotStoreValue = 2
-
-// wrSlotFwdValue marks a waitRef registered by a load against the store
-// it would forward from (ffWaiting / osFwdWait): the store's value-known
-// transition clears the load's sleep bound. The store is older than the
-// load and therefore earlier in the same stream's pending walk, so the
-// wake always lands in the same cycle a per-cycle poll would have fired.
-const wrSlotFwdValue = 3
 
 // Order-scan memo states.
 const (
@@ -390,20 +369,14 @@ type Core struct {
 
 // ---------------------------------------------------------- ROB ring
 
-func (c *Core) robLen() int { return c.robN }
-
 func (c *Core) robAt(i int) *uop { return c.rob[(c.robHead+i)&(len(c.rob)-1)] }
 
+// robPush appends a dispatching entry. Dispatch stops at ROBSize entries
+// and the ring holds at least that many, so it cannot overflow.
 func (c *Core) robPush(u *uop) {
 	c.syncROBOcc()
 	if c.robN == len(c.rob) {
-		// Dispatch is bounded by ROBSize, so a full ring should be
-		// unreachable; guard anyway rather than corrupt the window.
-		nb := make([]*uop, 2*len(c.rob))
-		for i := 0; i < c.robN; i++ {
-			nb[i] = c.robAt(i)
-		}
-		c.rob, c.robHead = nb, 0
+		panic(errROBOverflow)
 	}
 	c.rob[(c.robHead+c.robN)&(len(c.rob)-1)] = u
 	c.robN++
@@ -524,8 +497,9 @@ func (c *Core) allocUop() *uop {
 // intrusive walks (issue list, pending-access lists) chase pointers
 // across live entries every cycle, and a compact arena keeps those loads
 // inside a few pages instead of scattered heap allocations. New seeds the
-// pool for the whole population (the ROB plus retired producers still
-// held in dep slots), so the steady state never grows it.
+// pool with ROBSize entries, the whole population: an entry returns to
+// the pool as it leaves the ROB, and dispatch stops at a full ROB, so the
+// pipeline never grows it.
 func (c *Core) growUopPool(n int) {
 	slab := make([]uop, n)
 	for i := n - 1; i >= 0; i-- {
@@ -533,61 +507,73 @@ func (c *Core) growUopPool(n int) {
 	}
 }
 
-// watch registers u's interest in dep slot's producer for issue gating.
-// A producer that has already completed contributes only its (immutable)
-// readyAt bound; an in-flight one gets a waiter record and will push the
-// bound at its completion transition.
-func (c *Core) watch(u *uop, slot int) {
-	d := u.dep[slot]
-	if d == nil {
+// watch registers u's interest in the producer p (nil when the operand is
+// ready) of an operand gating u's issue. A producer that has already
+// completed contributes only its (immutable) readyAt bound; an in-flight
+// one gets a waiter record and will push the bound at its completion
+// transition.
+func (c *Core) watch(u, p *uop) {
+	if p == nil {
 		return
 	}
-	if d.completed {
-		if d.readyAt > u.issueWake {
-			u.issueWake = d.readyAt
+	if p.completed {
+		if p.readyAt > u.issueWake {
+			u.issueWake = p.readyAt
 		}
 		return
 	}
-	d.waiters = append(d.waiters, waitRef{u, u.allocGen, uint8(slot)})
+	p.waiters = append(p.waiters, waitRef{u, u.allocGen, waitIssue})
 	u.depsPending++
 }
 
-// watchStoreValue registers store u's interest in its data producer for
-// the memory-stage sleep bound: an in-flight producer will push its
-// readyAt at completion (wrSlotStoreValue), letting updateStore sleep
-// instead of polling. A producer already complete needs no record — the
-// poll reads its immutable readyAt as a bound directly.
-func (c *Core) watchStoreValue(u *uop) {
-	if d := u.dep[1]; d != nil && !d.completed {
-		d.waiters = append(d.waiters, waitRef{u, u.allocGen, wrSlotStoreValue})
+// watchStoreValue sets store u's data-arrival bound from the producer p
+// of its data operand: p's immutable readyAt once p has completed, or
+// memSleepPush while p is in flight, until p's completion push
+// (waitStoreValue) fills in its readyAt. Data ready at dispatch (p nil)
+// leaves the bound at 0, which acts as dispatchedAt would: the store
+// completes at max(addrAt, valueAt), and addrAt is past dispatch, while
+// forwarding asks only whether valueAt has passed.
+func (c *Core) watchStoreValue(u, p *uop) {
+	if p == nil {
+		return
 	}
+	if p.completed {
+		u.valueAt = p.readyAt
+		return
+	}
+	u.valueAt = memSleepPush
+	p.waiters = append(p.waiters, waitRef{u, u.allocGen, waitStoreValue})
 }
 
-// watchFwdValue registers load u's interest in store st's value-known
-// transition (wrSlotFwdValue). Registrations are never canceled — stale
-// ones are filtered by allocGen at delivery, and a spurious wake only
-// costs one poll.
+// watchFwdValue registers load u's interest in the arrival of store st's
+// data (waitFwdValue). The store is older than the load and
+// therefore earlier in the same stream's pending walk, so the wake lands
+// in the same cycle a per-cycle poll would have fired. Registrations are
+// never canceled — stale ones are filtered by allocGen at delivery, and a
+// spurious wake only costs one poll.
 func (c *Core) watchFwdValue(u, st *uop) {
-	st.waiters = append(st.waiters, waitRef{u, u.allocGen, wrSlotFwdValue})
+	st.waiters = append(st.waiters, waitRef{u, u.allocGen, waitFwdValue})
 }
 
 // pushReady is called exactly once, at p's completion transition, to
 // deliver p.readyAt to every consumer still waiting on it. After this,
 // p.completed is sticky and new consumers read the bound directly in
 // watch, so the drained list never refills.
+//
+// Commit is in order, so every consumer that commits was still waiting
+// here. A record goes stale only when its consumer was squashed: until
+// the entry is reallocated the push writes into a pooled entry, which
+// allocUop zeroes on reuse, and after that allocGen tells it apart.
 func (c *Core) pushReady(p *uop) {
 	for _, wr := range p.waiters {
 		w := wr.w
-		if wr.slot == wrSlotStoreValue {
-			// Store data-value bound: the store wakes exactly when the
-			// operand it polls for becomes observable.
-			if w.allocGen == wr.gen && w.dep[1] == p {
-				w.memWake = p.readyAt
-			}
-			continue
+		if w.allocGen != wr.gen {
+			continue // consumer squashed and its entry reallocated
 		}
-		if w.allocGen != wr.gen || w.dep[wr.slot] != p {
-			continue // consumer squashed, recycled, or slot released
+		if wr.kind == waitStoreValue {
+			// The store wakes exactly when its data becomes usable.
+			w.valueAt, w.memWake = p.readyAt, p.readyAt
+			continue
 		}
 		w.depsPending--
 		if p.readyAt > w.issueWake {
@@ -597,11 +583,11 @@ func (c *Core) pushReady(p *uop) {
 	p.waiters = p.waiters[:0]
 }
 
-// wakeFwdWaiters is called at a store's value-known transition: every
-// load registered to forward from it resumes memory-stage visits this
-// cycle. Registrations only happen while the value is pending, so the
-// transition drains the list for good. Waking is always safe; only
-// sleeping needs justification.
+// wakeFwdWaiters is called at each memory-stage visit of a store whose
+// data has arrived: every load registered to forward from it resumes
+// memory-stage visits this cycle. Registrations only happen while the
+// data is pending, so the first call drains the list for good. Waking is
+// always safe; only sleeping needs justification.
 func (c *Core) wakeFwdWaiters(u *uop) {
 	if len(u.waiters) == 0 {
 		return
@@ -615,15 +601,11 @@ func (c *Core) wakeFwdWaiters(u *uop) {
 }
 
 // recycleUop returns a uop that has left the pipeline (committed or
-// squashed) to the pool — immediately if no consumer still holds it in a
-// dep slot, otherwise when the last consumer releases it.
+// squashed) to the pool. No consumer holds a pointer to its producers,
+// so the entry is free at once.
 func (c *Core) recycleUop(u *uop) {
 	c.issueUnlink(u)
-	if u.refs == 0 {
-		c.freeUops = append(c.freeUops, u)
-	} else {
-		u.dead = true
-	}
+	c.freeUops = append(c.freeUops, u)
 }
 
 // issuePush appends a freshly-dispatched entry to the not-yet-issued
@@ -670,16 +652,6 @@ func (c *Core) pendDrop(u *uop) {
 	}
 }
 
-// releaseDep is called by a consumer when it drops a producer from its dep
-// slots (the operand was observed ready, or the consumer was squashed).
-func (c *Core) releaseDep(d *uop) {
-	d.refs--
-	if d.refs == 0 && d.dead {
-		d.dead = false
-		c.freeUops = append(c.freeUops, d)
-	}
-}
-
 // New builds a core for the given program and configuration.
 func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
@@ -697,7 +669,7 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 		textBase: prog.TextBase,
 		rob:      make([]*uop, robCap),
 		fetchQ:   make([]emu.Effect, robCap),
-		freeUops: make([]*uop, 0, 3*cfg.ROBSize),
+		freeUops: make([]*uop, 0, cfg.ROBSize),
 		// Wake population is bounded by a few registrations per in-flight
 		// instruction plus per-stream MSHR wakes; oversize the slab so the
 		// hot loop never grows it.
@@ -707,7 +679,7 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 		Name: "L2", SizeBytes: cfg.L2.SizeBytes, LineBytes: cfg.L2.LineBytes,
 		Assoc: cfg.L2.Assoc, HitLatency: cfg.L2.HitLatency, MSHRs: 64,
 	}, c.mem)
-	c.growUopPool(3 * cfg.ROBSize)
+	c.growUopPool(cfg.ROBSize)
 	if len(cfg.Streams()) > memsys.MaxStreams {
 		return nil, ErrTooManyStreams
 	}
@@ -763,6 +735,10 @@ var ErrBudget = errors.New("core: cycle budget exhausted")
 // ErrTooManyStreams: the config declares more memory streams than the
 // core's fixed per-uop bookkeeping supports.
 var ErrTooManyStreams = errors.New("core: config builds more streams than the core supports")
+
+// errROBOverflow is robPush's panic value. An error value, unlike a string
+// constant, needs no boxing where robPush is inlined into dispatchStage.
+var errROBOverflow = errors.New("core: ROB overflow")
 
 func (c *Core) done() bool {
 	return c.fetchDone && c.robN == 0

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/config"
 	"repro/internal/emu"
+	"repro/internal/workload"
 )
 
 func compile(t *testing.T, src string) *asm.Program {
@@ -470,6 +472,11 @@ func TestNoLVCMeansNoLVAQTraffic(t *testing.T) {
 	}
 }
 
+// TestMaxInstsBudget: MaxInsts bounds committed instructions. A misroute
+// squash reopens dispatch for exactly the squashed window, so a run whose
+// accesses misroute after the budget is dispatched still commits the
+// whole budget: dualProgram's pointer-based stack accesses misroute on
+// every iteration under the $sp heuristic, and m88ksim's misroute too.
 func TestMaxInstsBudget(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("\t.text\nmain:\n")
@@ -477,11 +484,41 @@ func TestMaxInstsBudget(t *testing.T) {
 		b.WriteString("\taddi $t0, $t0, 1\n")
 	}
 	b.WriteString("\thalt\n")
-	cfg := config.Default().WithPorts(2, 0)
-	cfg.MaxInsts = 50
-	res := simulate(t, compile(t, b.String()), cfg)
-	if res.Committed != 50 {
-		t.Errorf("committed %d, want 50", res.Committed)
+	m88ksim, err := workload.ByName("m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := config.Default().WithPorts(2, 2)
+	sp.Steering = config.SteerSP
+	for _, tc := range []struct {
+		name   string
+		prog   *asm.Program
+		cfg    config.Config
+		budget uint64
+	}{
+		{"straight-line", compile(t, b.String()), config.Default().WithPorts(2, 0), 50},
+		{"dualProgram-sp", compile(t, dualProgram), sp, 300},
+		{"m88ksim-sp", m88ksim.Program(0.02), sp, 5000},
+	} {
+		for _, e := range []Engine{EngineTick, EngineEvent} {
+			cfg := tc.cfg
+			cfg.MaxInsts = tc.budget
+			c, err := New(tc.prog, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.RunWith(context.Background(), RunOptions{Engine: e})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", tc.name, e, err)
+			}
+			if res.Committed != tc.budget {
+				t.Errorf("%s/%v: committed %d, want %d", tc.name, e, res.Committed, tc.budget)
+			}
+			if tc.cfg.Steering == config.SteerSP && res.Misroutes == 0 {
+				t.Errorf("%s/%v: no misroutes, so no squash reopened dispatch", tc.name, e)
+			}
+			assertPipelineDrained(t, c, tc.name+"/"+e.String())
+		}
 	}
 }
 

@@ -34,13 +34,19 @@ func runEngine(t *testing.T, name string, scale float64, cfg config.Config, e En
 	return runProgram(t, w.Program(scale), cfg, e)
 }
 
+// runProgram runs prog on a fresh core; a run that finishes cleanly must
+// also leave the pipeline drained and every uop back in the pool.
 func runProgram(t *testing.T, prog *asm.Program, cfg config.Config, e Engine) (*Result, error) {
 	t.Helper()
 	c, err := New(prog, cfg)
 	if err != nil {
 		t.Fatalf("New(%s): %v", prog.Name, err)
 	}
-	return c.RunWith(context.Background(), RunOptions{Engine: e})
+	res, err := c.RunWith(context.Background(), RunOptions{Engine: e})
+	if err == nil {
+		assertPipelineDrained(t, c, fmt.Sprintf("%s on %s (%v)", prog.Name, cfg.Name(), e))
+	}
+	return res, err
 }
 
 // memBoundConfig is a machine whose caches the workloads overflow: an

@@ -123,29 +123,9 @@ func (c *Core) commitStage() {
 		if u.hasDest && c.renameTable[u.dest] == u {
 			c.renameTable[u.dest] = nil
 		}
-		// Release any producers still held (a fast-forwarded load
-		// completes without ever issuing, so its base-register dep is
-		// still in place).
-		for j, d := range u.dep {
-			if d != nil {
-				u.dep[j] = nil
-				c.releaseDep(d)
-			}
-		}
 		c.emitTrace(u, c.now, false)
 		c.recycleUop(u)
 		c.stats.Committed++
-		if c.cfg.MaxInsts > 0 && c.stats.Committed >= c.cfg.MaxInsts {
-			c.fetchDone = true
-			c.robTruncate(0)
-			for _, s := range c.streams {
-				c.drain(s)
-			}
-			c.issueHead, c.issueTail = nil, nil
-			// Every outstanding wake belonged to the drained pipeline.
-			c.sched.Reset()
-			return
-		}
 	}
 }
 
@@ -193,30 +173,17 @@ func (c *Core) updateStore(u *uop) {
 	if u.completed {
 		return
 	}
-	if !u.valueKnown {
-		d := u.dep[1]
-		if d == nil {
-			u.valueKnown, u.valueAt = true, u.dispatchedAt
-			c.progressed = true
-			c.wakeFwdWaiters(u)
-		} else if d.completed && d.readyAt <= c.now {
-			u.valueKnown, u.valueAt = true, d.readyAt
-			u.dep[1] = nil
-			c.releaseDep(d)
-			c.progressed = true
-			c.wakeFwdWaiters(u)
-		} else if d.completed {
-			// Arrival bound known from the producer's immutable readyAt:
-			// sleep until then.
-			u.memWake = d.readyAt
-			return
-		} else {
-			// In-flight producer: its completion push (wrSlotStoreValue,
-			// registered at dispatch) rewrites the bound.
-			u.memWake = memSleepPush
-			return
-		}
+	if u.valueAt > c.now {
+		// Sleep until the data arrives. While its producer is in flight
+		// the bound is memSleepPush, and the producer's completion push
+		// (waitStoreValue) rewrites both bounds.
+		u.memWake = u.valueAt
+		return
 	}
+	// The data's arrival is no state transition of its own: a load
+	// waiting to forward from the store forwards this cycle, and a
+	// spurious wake of any other load changes nothing.
+	c.wakeFwdWaiters(u)
 	if u.addrKnown && u.addrAt <= c.now {
 		u.completed = true
 		u.readyAt = max(u.addrAt, u.valueAt)
@@ -271,7 +238,7 @@ func (c *Core) processLoad(s *stream, u *uop) {
 		}
 		// The blocking store resolved: rescan from scratch.
 	case osFwdWait:
-		if st := u.osCand; st.valueKnown && st.valueAt <= c.now {
+		if st := u.osCand; st.valueAt <= c.now {
 			c.forwardLoad(s, u, st)
 		} else {
 			// The registration from the memo set is still pending
@@ -321,7 +288,7 @@ func (c *Core) processLoad(s *stream, u *uop) {
 			// Store-to-load forwarding inside the stream: 1 cycle, no
 			// cache access, no port.
 			u.osState, u.osCand = osFwdWait, match
-			if match.valueKnown && match.valueAt <= c.now {
+			if match.valueAt <= c.now {
 				c.forwardLoad(s, u, match)
 			} else {
 				// Sleep until the match's value transition: the match is
@@ -401,7 +368,7 @@ func (c *Core) tryFastForward(s *stream, u *uop) bool {
 		if u.ffState == ffBlocked {
 			return false
 		}
-		if st := u.ffCand; st.valueKnown && st.valueAt <= c.now {
+		if st := u.ffCand; st.valueAt <= c.now {
 			c.fastForward(s, u, st)
 			return true
 		}
@@ -455,7 +422,7 @@ func (c *Core) tryFastForward(s *stream, u *uop) bool {
 				u.ffState = ffBlocked
 				return false
 			}
-			if st.valueKnown && st.valueAt <= c.now {
+			if st.valueAt <= c.now {
 				c.fastForward(s, u, st)
 				return true
 			}
@@ -524,11 +491,7 @@ func (c *Core) issueStage() {
 		}
 		if u.isMem {
 			// Address generation: the base register operand (the only
-			// issue-gating dep of a memory access) has arrived.
-			if d := u.dep[0]; d != nil {
-				u.dep[0] = nil
-				c.releaseDep(d)
-			}
+			// operand gating a memory access's issue) has arrived.
 			u.issued = true
 			u.issuedAt = c.now
 			c.issueUnlink(u)
@@ -555,12 +518,6 @@ func (c *Core) issueStage() {
 			}
 			u = next
 			continue
-		}
-		for i, d := range u.dep {
-			if d != nil {
-				u.dep[i] = nil
-				c.releaseDep(d)
-			}
 		}
 		var fu *int
 		switch u.class {
@@ -646,14 +603,6 @@ func (c *Core) dispatchStage() {
 		c.seq++
 		c.progressed = true
 
-		// Rename the source operands: for a memory access, the base
-		// register and (stores) the stored value.
-		if d.nsrc >= 1 {
-			u.dep[0] = c.producer(d.src[0])
-		}
-		if d.nsrc >= 2 {
-			u.dep[1] = c.producer(d.src[1])
-		}
 		if d.isMem {
 			u.isMem = true
 			u.isLoad = d.isLoad
@@ -670,16 +619,19 @@ func (c *Core) dispatchStage() {
 			u.combineGroup = d.combineGroup
 		}
 
-		// Register the issue-gating waits: the base register for a
-		// memory access, both operands otherwise. A store's data operand
-		// (dep[1]) does not gate issue — the memory stage polls it.
-		c.watch(u, 0)
+		// Rename the source operands and register the waits they gate:
+		// the base register for a memory access, both operands otherwise.
+		// A store's data operand never gates its issue, only its
+		// completion, so it sets the store's data-arrival bound instead.
+		var src [2]*uop
+		for i, r := range d.src[:d.nsrc] {
+			src[i] = c.producer(r)
+		}
+		c.watch(u, src[0])
 		if !u.isMem {
-			c.watch(u, 1)
+			c.watch(u, src[1])
 		} else if !u.isLoad {
-			// A store's data operand never gates issue, but its arrival
-			// bound lets the memory stage sleep instead of polling.
-			c.watchStoreValue(u)
+			c.watchStoreValue(u, src[1])
 		}
 
 		// Rename the destination and advance the stack generation when
@@ -718,11 +670,14 @@ func (c *Core) dispatchStage() {
 		}
 
 		// Fetch is finished only when the emulator has halted AND no
-		// squashed effects remain to replay.
+		// squashed effects remain to replay, or when the instructions
+		// committed or in flight reach the commit budget. A squash
+		// lowers robN and reopens dispatch for exactly the squashed
+		// window, so the run commits MaxInsts instructions.
 		if c.emu.Halted && c.fetchN == 0 {
 			c.fetchDone = true
 		}
-		if c.cfg.MaxInsts > 0 && c.seq >= c.cfg.MaxInsts {
+		if c.cfg.MaxInsts > 0 && c.stats.Committed+uint64(c.robN) >= c.cfg.MaxInsts {
 			c.fetchDone = true
 		}
 	}
@@ -741,8 +696,8 @@ func (c *Core) streamFull(id int) bool {
 
 // producer returns the in-flight producer of r, or nil when the
 // architectural value is already available. Reads of the hardwired zero
-// register are always ready. A non-nil producer is reference-counted: the
-// consumer must release it (releaseDep) when it drops the dep slot.
+// register are always ready. Dispatch hands the producer to the watch
+// functions and keeps no pointer to it.
 func (c *Core) producer(r isa.Reg) *uop {
 	if r == isa.RegZero {
 		return nil
@@ -751,7 +706,6 @@ func (c *Core) producer(r isa.Reg) *uop {
 	if p == nil || (p.completed && p.readyAt <= c.now) {
 		return nil
 	}
-	p.refs++
 	return p
 }
 
@@ -865,18 +819,8 @@ func (c *Core) squashYounger(u *uop) {
 		c.squash(s, u.seq)
 	}
 
-	// Recycle the squashed entries: first release every dep they hold (a
-	// squashed producer may be referenced by younger squashed consumers),
-	// then return them to the pool.
-	for i := idx + 1; i < c.robN; i++ {
-		v := c.robAt(i)
-		for j, d := range v.dep {
-			if d != nil {
-				v.dep[j] = nil
-				c.releaseDep(d)
-			}
-		}
-	}
+	// Recycle the squashed entries. Their records in older producers'
+	// waiter lists go stale, and pushReady filters them.
 	for i := idx + 1; i < c.robN; i++ {
 		c.recycleUop(c.robAt(i))
 	}

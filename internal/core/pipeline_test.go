@@ -9,6 +9,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/config"
 	"repro/internal/emu"
+	"repro/internal/isa"
 	"repro/internal/workload"
 )
 
@@ -359,5 +360,88 @@ func TestFetchDequeReplaysInOrderUnderQueuePressure(t *testing.T) {
 				t.Error("RunWith's tick engine diverges from the hand-driven cycle loop")
 			}
 		})
+	}
+}
+
+// issueLog is a Tracer that keeps the committed instructions' timelines
+// in commit order.
+type issueLog []TraceEvent
+
+func (l *issueLog) Trace(ev TraceEvent) {
+	if !ev.Squashed {
+		*l = append(*l, ev)
+	}
+}
+
+// checkIssueAfterOperands asserts the dataflow the wakeup push enforces:
+// every committed instruction issued no earlier than each operand gating
+// its issue was ready — both sources of a non-memory instruction, the
+// base register of a memory access (a store's data gates only its
+// completion). A fast-forwarded load never issues and is skipped.
+func checkIssueAfterOperands(t *testing.T, c *Core, log issueLog) {
+	t.Helper()
+	var readyAt [isa.NumRegs]uint64 // of each register's latest writer
+	for _, ev := range log {
+		d := c.decodedAt(ev.PC)
+		srcs := d.src[:d.nsrc]
+		if d.isMem {
+			srcs = srcs[:min(len(srcs), 1)]
+		}
+		for _, r := range srcs {
+			if ev.IssuedAt != 0 && ev.IssuedAt < readyAt[r] {
+				t.Errorf("seq %d (%s) issued at cycle %d, before its operand %s was ready at %d",
+					ev.Seq, ev.Inst, ev.IssuedAt, r, readyAt[r])
+			}
+		}
+		if d.hasDest {
+			readyAt[d.dest] = ev.ReadyAt
+		}
+	}
+}
+
+// TestSquashedConsumerLeavesNoWakeup: a producer's completion push must
+// skip the records of consumers that were squashed meanwhile. The stack
+// load through the pointer copy $s0 misroutes under the $sp heuristic
+// and squashes the window div, add, out, halt while the second divide
+// waits for the first. The pool hands squashed entries out last-in
+// first-out, so the replayed out takes the add's old entry, and the
+// second divide still holds the add's record. That divide issues after
+// the replay and pushes its result, ready at cycle 73, into the entry,
+// while the replayed add waits on the replayed divide of the loaded value
+// and is ready only at 103: a push that did not skip the stale record
+// would let the out issue thirty cycles before its operand.
+func TestSquashedConsumerLeavesNoWakeup(t *testing.T) {
+	prog := compile(t, `
+        .text
+main:
+        li   $s4, 7
+        li   $s6, 1
+        move $s0, $sp
+        div  $t7, $s4, $s6
+        div  $t8, $t7, $s6
+        lw   $t0, -4($s0)
+        div  $t9, $t0, $s6
+        add  $t1, $t8, $t9
+        out  $t1
+        halt
+`)
+	cfg := config.Default().WithPorts(2, 2)
+	cfg.Steering = config.SteerSP
+	for _, e := range []Engine{EngineTick, EngineEvent} {
+		c, err := New(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log issueLog
+		c.SetTracer(&log)
+		res, err := c.RunWith(context.Background(), RunOptions{Engine: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFunctional(t, prog, res)
+		if res.Misroutes != 1 || res.Squashed != 4 {
+			t.Fatalf("%v: %d misroutes, %d squashed; want 1 and 4", e, res.Misroutes, res.Squashed)
+		}
+		checkIssueAfterOperands(t, c, log)
 	}
 }

@@ -138,24 +138,25 @@ func TestRandomProgramsMatchEmulator(t *testing.T) {
 			t.Fatalf("trial %d: impossible cycle count %d for %d insts",
 				trial, res.Cycles, res.Committed)
 		}
-		assertStreamsDrained(t, c, fmt.Sprintf("trial %d (%s)", trial, cfg.Name()))
+		assertPipelineDrained(t, c, fmt.Sprintf("trial %d (%s)", trial, cfg.Name()))
 	}
 }
 
-// assertStreamsDrained checks the post-run stream invariant: a cleanly
-// finished pipeline leaves every access queue empty — no leaked dual
-// shadow copies, no misroute-recovery residue.
-func assertStreamsDrained(t *testing.T, c *Core, ctx string) {
+// assertPipelineDrained checks the post-run invariants of a cleanly
+// finished pipeline: every access queue and pending list is empty — no
+// leaked dual shadow copies, no misroute-recovery residue — and every
+// RUU entry is back in the pool, which never grew past the ROB.
+func assertPipelineDrained(t *testing.T, c *Core, ctx string) {
 	t.Helper()
 	for _, s := range c.streams {
-		if s.n != 0 {
-			t.Fatalf("%s: stream %s finished with occupancy %d, want 0",
-				ctx, s.Spec.Name, s.n)
+		if s.n != 0 || s.pendHead != nil || s.pendTail != nil {
+			t.Fatalf("%s: stream %s finished with occupancy %d (pending list empty: %v), want empty",
+				ctx, s.Spec.Name, s.n, s.pendHead == nil && s.pendTail == nil)
 		}
-		if left := c.drain(s); left != 0 {
-			t.Fatalf("%s: stream %s drained %d residual entries, want 0",
-				ctx, s.Spec.Name, left)
-		}
+	}
+	if len(c.freeUops) != c.cfg.ROBSize {
+		t.Fatalf("%s: the uop pool holds %d entries after the run, want ROBSize = %d",
+			ctx, len(c.freeUops), c.cfg.ROBSize)
 	}
 }
 
@@ -247,7 +248,7 @@ func TestMisrouteAndDualLeaveNoResidue(t *testing.T) {
 						trial, tc.name, i, res.Output[i], ref.Output[i])
 				}
 			}
-			assertStreamsDrained(t, c, fmt.Sprintf("trial %d %s", trial, tc.name))
+			assertPipelineDrained(t, c, fmt.Sprintf("trial %d %s", trial, tc.name))
 			misroutes += res.Misroutes
 			duals += res.DualInserted
 			dualWrong += res.DualMisguessed

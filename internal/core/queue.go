@@ -6,9 +6,9 @@ import "repro/internal/memsys"
 // of the stream (cache, ports, combining window, counters) plus the
 // stream's access queue, which the core owns as sim-outorder keeps its LSQ
 // inside the core. Load/store ordering is enforced within each queue only
-// (§2.1, §3.1). Five core functions make every queue mutation — enqueue,
-// dequeue, retire, squash and drain — and each keeps the ring, the pending
-// list, Stats.Occupancy and the combining window in step.
+// (§2.1, §3.1). Four core functions make every queue mutation — enqueue,
+// dequeue, retire and squash — and each keeps the ring, the pending list,
+// Stats.Occupancy and the combining window in step.
 type stream struct {
 	*memsys.Stream
 
@@ -30,7 +30,7 @@ type stream struct {
 
 	// occSynced is the last cycle folded into Stats.Occupancy, which
 	// advances only when the queue length changes. The sample point is
-	// the memory stage, so the commit-stage mutators (retire, drain) sync
+	// the memory stage, so the commit-stage mutator (retire) syncs
 	// through now-1 and the cycle samples the shrunken queue, while the
 	// later ones (enqueue, dequeue, squash) sync through now.
 	occSynced uint64
@@ -190,22 +190,6 @@ func (c *Core) squash(s *stream, maxSeq uint64) {
 		u.inQ[s.ID] = false
 		s.pendUnlink(u)
 	}
-}
-
-// drain empties s's queue and pending list at the commit stage of cycle
-// now, before its occupancy sample, and returns how many entries were
-// still queued — 0 for a cleanly drained pipeline, which tests assert.
-func (c *Core) drain(s *stream) int {
-	if c.now > 0 {
-		s.syncOcc(c.now - 1)
-	}
-	s.CloseWindow()
-	s.pendHead, s.pendTail = nil, nil
-	left := s.n
-	for s.n > 0 {
-		s.popHead()
-	}
-	return left
 }
 
 // wakeStream resets the order-scan and fast-forward memos (osState,

@@ -138,6 +138,25 @@ func TestQueueWrapped(t *testing.T) {
 	mustPanic(t, "push into a full ring", "overflow", func() { c.enqueue(s, us[56]) })
 }
 
+// TestROBOverflowPanics: dispatch stops at ROBSize entries, so the ROB
+// ring, like the stream rings and the fetch deque, panics rather than
+// grows when pushed past its length.
+func TestROBOverflowPanics(t *testing.T) {
+	cfg := config.Default()
+	cfg.ROBSize = 16
+	c := queueCore(t, cfg)
+	us := accesses(c, len(c.rob)+1, true)
+	for _, u := range us[:len(c.rob)] {
+		c.robPush(u)
+	}
+	defer func() {
+		if p := recover(); p != errROBOverflow {
+			t.Fatalf("push into a full ROB panicked with %v, want %v", p, errROBOverflow)
+		}
+	}()
+	c.robPush(us[len(c.rob)])
+}
+
 func TestQueueRemove(t *testing.T) {
 	c := queueCore(t, config.Default())
 	s := c.streams[0]
@@ -183,36 +202,6 @@ func TestQueueSquash(t *testing.T) {
 	c.enqueue(s, us[3]) // the replay re-dispatches it
 	checkOrder(t, s, us[:4])
 	checkPending(t, s, us[:4])
-}
-
-// TestQueueDrain: a drain empties the ring and the pending list. It runs
-// in the commit stage, so the cycle it runs in samples the empty queue:
-// four entries queued in cycle 3 and drained in cycle 5 count in cycle 4
-// only.
-func TestQueueDrain(t *testing.T) {
-	c := queueCore(t, config.Default())
-	s := c.streams[0]
-	us := accesses(c, 4, true)
-	c.now = 3
-	for _, u := range us {
-		c.enqueue(s, u)
-	}
-	c.now = 5
-	if got := c.drain(s); got != 4 {
-		t.Fatalf("drain() = %d, want 4", got)
-	}
-	checkOrder(t, s, nil)
-	checkPending(t, s, nil)
-	for _, u := range us {
-		if s.contains(u) {
-			t.Fatalf("drained entry seq %d still in queue", u.seq)
-		}
-	}
-	c.now = 7
-	s.syncOcc(c.now)
-	if s.Stats.Occupancy != 4 {
-		t.Fatalf("occupancy integral = %d, want 4", s.Stats.Occupancy)
-	}
 }
 
 // TestDualMembership verifies an access can occupy two streams at once
@@ -282,8 +271,8 @@ func TestQueueHeadChecks(t *testing.T) {
 
 // TestCombineWindowClosesOnSquash: a queue mutation mid-cycle shifts or
 // frees queue positions, so an access granted after it must not ride the
-// stale window even if its new position and line match. Squash, dequeue
-// and drain all close the window.
+// stale window even if its new position and line match. Squash and
+// dequeue both close the window.
 func TestCombineWindowClosesOnSquash(t *testing.T) {
 	c := queueCore(t, config.Default().WithPorts(2, 1).WithOptimizations(4))
 	s := c.streams[1]
@@ -312,16 +301,6 @@ func TestCombineWindowClosesOnSquash(t *testing.T) {
 	c.dequeue(s, us[0])
 	if _, combined := s.Grant(0, 0x104, true, memsys.GroupNone); combined {
 		t.Fatal("window survived dequeue")
-	}
-
-	c.enqueue(s, us[1])
-	s.Reset()
-	if ok, _ := s.Grant(0, 0x100, true, memsys.GroupNone); !ok {
-		t.Fatal("anchor grant refused")
-	}
-	c.drain(s)
-	if _, combined := s.Grant(0, 0x104, true, memsys.GroupNone); combined {
-		t.Fatal("window survived drain")
 	}
 }
 

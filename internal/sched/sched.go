@@ -11,9 +11,9 @@
 //
 // The scheduler is deliberately permissive: wakes are uncoalesced on Add
 // (duplicates are cheap) and never cancelled eagerly. A stale wake — one
-// registered for an instruction that was later squashed, or for a stream
-// that drained — is merely *spurious*: the engine executes one real cycle
-// at the woken time, observes no progress, and skips again. Spurious wakes
+// registered for an instruction that was later squashed — is merely
+// *spurious*: the engine executes one real cycle at the woken time,
+// observes no progress, and skips again. Spurious wakes
 // cost a handful of cycles of simulation; missed wakes would cost
 // correctness, so the design never requires explicit cancellation to be
 // sound. Lazy cancellation happens in Next, which drops every entry at or
@@ -40,10 +40,6 @@ func New(n int) *Sched {
 // Len returns the number of registered wakes, counting duplicates and
 // stale entries that Next has not yet dropped.
 func (s *Sched) Len() int { return len(s.heap) }
-
-// Reset drops every registered wake (keeping the slab). Used when the
-// pipeline force-drains: all outstanding wakes are stale by construction.
-func (s *Sched) Reset() { s.heap = s.heap[:0] }
 
 // Add registers a wake at the given cycle. Duplicate cycles are allowed
 // and equivalent to a single wake; callers register unconditionally rather

@@ -74,27 +74,6 @@ func TestStaleWakesAreLazilyCancelled(t *testing.T) {
 	}
 }
 
-func TestResetDropsEverything(t *testing.T) {
-	// Drain empties every queue at once; Reset mirrors it in the
-	// scheduler: all outstanding wakes are stale by construction.
-	s := New(8)
-	for i := uint64(1); i <= 10; i++ {
-		s.Add(i * 100)
-	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", s.Len())
-	}
-	if _, ok := s.Next(0); ok {
-		t.Fatal("Next returned a wake after Reset")
-	}
-	// The scheduler must stay usable after Reset.
-	s.Add(5)
-	if w, ok := s.Next(0); !ok || w != 5 {
-		t.Fatalf("Next after Reset+Add = %d,%v; want 5,true", w, ok)
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var s Sched
 	if _, ok := s.Next(0); ok {
