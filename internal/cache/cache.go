@@ -265,10 +265,10 @@ func (c *Cache) Access(now uint64, addr uint32, write bool) (uint64, bool) {
 }
 
 // NextFillDone returns the earliest cycle strictly after now at which an
-// outstanding fill completes, or 0 when none is in flight. The
-// event-driven engine registers it as a wake when an access is rejected
-// with all MSHRs busy: the rejection can only resolve once a fill
-// completes and frees one.
+// outstanding fill completes, or 0 when none is in flight. The core's
+// quiescent-cycle skip reads it as a next event: an access rejected with
+// all MSHRs busy, or with every way of its set still filling, can only be
+// accepted once a fill completes.
 func (c *Cache) NextFillDone(now uint64) uint64 {
 	var next uint64
 	for _, t := range c.inflight {

@@ -30,7 +30,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/memsys"
-	"repro/internal/sched"
 	"repro/internal/tlb"
 )
 
@@ -299,12 +298,6 @@ type Core struct {
 	robHead int
 	robN    int
 
-	// robOccSynced is the last cycle folded into stats.ROBOccupancy (lazy
-	// interval accumulation; the legacy sample point is the end of the
-	// cycle, so mutations sync through now-1 and the result flushes
-	// through the final cycle).
-	robOccSynced uint64
-
 	// freeUops recycles retired RUU entries; together with the rings it
 	// keeps the steady-state dispatch/replay path allocation-free.
 	freeUops []*uop
@@ -315,13 +308,10 @@ type Core struct {
 	// whole ROB ring.
 	issueHead, issueTail *uop
 
-	// sched collects future wake cycles (fill completions, agen latency,
-	// recovery-stall expiry, MSHR frees) for the event-driven engine;
 	// progressed is set by any state transition during the current cycle
 	// and cleared by the run loop. A cycle that ends with progressed false
-	// changed nothing but per-cycle stall counters, which is what licenses
-	// skipping ahead (DESIGN.md §12).
-	sched      sched.Sched
+	// changed nothing but per-cycle stall counters and occupancy samples,
+	// which is what licenses skipping ahead to nextEvent (DESIGN.md §12).
 	progressed bool
 	stallSnap  stallSnapshot
 
@@ -374,7 +364,6 @@ func (c *Core) robAt(i int) *uop { return c.rob[(c.robHead+i)&(len(c.rob)-1)] }
 // robPush appends a dispatching entry. Dispatch stops at ROBSize entries
 // and the ring holds at least that many, so it cannot overflow.
 func (c *Core) robPush(u *uop) {
-	c.syncROBOcc()
 	if c.robN == len(c.rob) {
 		panic(errROBOverflow)
 	}
@@ -383,7 +372,6 @@ func (c *Core) robPush(u *uop) {
 }
 
 func (c *Core) robPopHead() *uop {
-	c.syncROBOcc()
 	u := c.rob[c.robHead]
 	c.rob[c.robHead] = nil
 	c.robHead = (c.robHead + 1) & (len(c.rob) - 1)
@@ -393,33 +381,11 @@ func (c *Core) robPopHead() *uop {
 
 // robTruncate drops every entry at position >= n (the squashed suffix).
 func (c *Core) robTruncate(n int) {
-	c.syncROBOcc()
 	mask := len(c.rob) - 1
 	for i := n; i < c.robN; i++ {
 		c.rob[(c.robHead+i)&mask] = nil
 	}
 	c.robN = n
-}
-
-// syncROBOcc folds the cycles since the last ROB length change into the
-// occupancy integral. The legacy per-cycle sample point is the end of the
-// cycle, so a mutation during cycle now accumulates through now-1 at the
-// old length; the current cycle itself is folded in by the next mutation
-// (or the final flush) at the post-mutation length.
-func (c *Core) syncROBOcc() {
-	if c.now > 0 && c.now-1 > c.robOccSynced {
-		c.stats.ROBOccupancy += (c.now - 1 - c.robOccSynced) * uint64(c.robN)
-		c.robOccSynced = c.now - 1
-	}
-}
-
-// flushROBOcc completes the integral through the final cycle; called once
-// when the result is built.
-func (c *Core) flushROBOcc() {
-	if c.now > c.robOccSynced {
-		c.stats.ROBOccupancy += (c.now - c.robOccSynced) * uint64(c.robN)
-		c.robOccSynced = c.now
-	}
 }
 
 // -------------------------------------------------------- fetch deque
@@ -476,14 +442,13 @@ func (c *Core) fetchPushFront(ef *emu.Effect) {
 
 // --------------------------------------------------------- uop pool
 
-// allocUop returns a zeroed RUU entry, recycling retired ones. The
-// allocation generation survives (incremented) so waitRefs against the
-// previous life are recognizably stale, and the waiter slab is kept to
-// stay allocation-free in steady state.
+// allocUop returns a zeroed RUU entry from the pool. New seeds the pool
+// with ROBSize entries, the whole population: an entry returns to the pool
+// as it leaves the ROB, and dispatch stops at a full ROB, so the pool never
+// runs dry. The allocation generation survives (incremented) so waitRefs
+// against the previous life are recognizably stale, and the waiter slab is
+// kept to stay allocation-free in steady state.
 func (c *Core) allocUop() *uop {
-	if len(c.freeUops) == 0 {
-		c.growUopPool(c.cfg.ROBSize)
-	}
 	n := len(c.freeUops)
 	u := c.freeUops[n-1]
 	c.freeUops = c.freeUops[:n-1]
@@ -491,20 +456,6 @@ func (c *Core) allocUop() *uop {
 	*u = uop{}
 	u.allocGen, u.waiters = gen+1, w[:0]
 	return u
-}
-
-// growUopPool adds n entries to the pool from one contiguous slab: the
-// intrusive walks (issue list, pending-access lists) chase pointers
-// across live entries every cycle, and a compact arena keeps those loads
-// inside a few pages instead of scattered heap allocations. New seeds the
-// pool with ROBSize entries, the whole population: an entry returns to
-// the pool as it leaves the ROB, and dispatch stops at a full ROB, so the
-// pipeline never grows it.
-func (c *Core) growUopPool(n int) {
-	slab := make([]uop, n)
-	for i := n - 1; i >= 0; i-- {
-		c.freeUops = append(c.freeUops, &slab[i])
-	}
 }
 
 // watch registers u's interest in the producer p (nil when the operand is
@@ -669,17 +620,19 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 		textBase: prog.TextBase,
 		rob:      make([]*uop, robCap),
 		fetchQ:   make([]emu.Effect, robCap),
-		freeUops: make([]*uop, 0, cfg.ROBSize),
-		// Wake population is bounded by a few registrations per in-flight
-		// instruction plus per-stream MSHR wakes; oversize the slab so the
-		// hot loop never grows it.
-		sched: *sched.New(4*cfg.ROBSize + 64),
+		freeUops: make([]*uop, cfg.ROBSize),
 	}
 	c.l2 = cache.New(cache.Config{
 		Name: "L2", SizeBytes: cfg.L2.SizeBytes, LineBytes: cfg.L2.LineBytes,
 		Assoc: cfg.L2.Assoc, HitLatency: cfg.L2.HitLatency, MSHRs: 64,
 	}, c.mem)
-	c.growUopPool(cfg.ROBSize)
+	// The pool is one contiguous slab: the intrusive walks (issue list,
+	// pending-access lists) chase pointers across live entries every
+	// cycle, and a compact arena keeps those loads inside a few pages.
+	slab := make([]uop, cfg.ROBSize)
+	for i := range slab {
+		c.freeUops[i] = &slab[len(slab)-1-i]
+	}
 	if len(cfg.Streams()) > memsys.MaxStreams {
 		return nil, ErrTooManyStreams
 	}
@@ -736,9 +689,13 @@ var ErrBudget = errors.New("core: cycle budget exhausted")
 // core's fixed per-uop bookkeeping supports.
 var ErrTooManyStreams = errors.New("core: config builds more streams than the core supports")
 
-// errROBOverflow is robPush's panic value. An error value, unlike a string
-// constant, needs no boxing where robPush is inlined into dispatchStage.
-var errROBOverflow = errors.New("core: ROB overflow")
+// errROBOverflow and errRetireNotHead are the panic values of robPush and
+// retire. An error value, unlike a string constant, needs no boxing where
+// those functions are inlined into dispatchStage and commitStage.
+var (
+	errROBOverflow   = errors.New("core: ROB overflow")
+	errRetireNotHead = errors.New("core: retiring an access that is not its stream's head")
+)
 
 func (c *Core) done() bool {
 	return c.fetchDone && c.robN == 0

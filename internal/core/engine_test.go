@@ -374,3 +374,64 @@ func TestWatchdogFiresAcrossSkippedGap(t *testing.T) {
 		t.Fatalf("watchdog fired on different cycles: tick=%d event=%d", cycles[0], cycles[1])
 	}
 }
+
+// TestQuietCyclesKeepTheirPromise checks the skip's premise cycle by
+// cycle, without skipping. After two consecutive quiet cycles the skip
+// jumps to the next event and replays the second quiet cycle across the
+// gap, so each such cycle promises that no cycle before nextEvent() makes
+// a transition. The test steps cycle() by hand and fails at the first
+// cycle that breaks the largest open promise, naming the timestamp a
+// stage compared but nextEvent did not read.
+func TestQuietCyclesKeepTheirPromise(t *testing.T) {
+	small := config.Default().WithPorts(2, 0)
+	small.L1 = config.CacheParams{SizeBytes: 2 * 1024, LineBytes: 32, Assoc: 1, HitLatency: 1}
+	tlb := config.Default().WithPorts(2, 2).WithOptimizations(4)
+	tlb.Steering = config.SteerDual
+	tlb.TLBEntries, tlb.TLBMissLatency = 8, 30
+	sp := config.Default().WithPorts(2, 2)
+	sp.Steering = config.SteerSP
+	sp.RecoveryPenalty = 20
+	machines := []struct {
+		name  string
+		cfg   config.Config
+		strip bool
+	}{
+		{"optimized(3+2)", config.Default().WithPorts(3, 2).WithOptimizations(2), false},
+		{"mem-bound(2+2)", memBoundConfig(), false},
+		{"tlb-dual-stripped(2+2)", tlb, true},
+		{"2KB-L1(2+0)", small, false},
+		{"sp-stripped-rp20(2+2)", sp, true},
+	}
+	for _, m := range machines {
+		for _, w := range workload.All() {
+			t.Run(w.Name+"/"+m.name, func(t *testing.T) {
+				t.Parallel()
+				prog := w.Program(0.02)
+				if m.strip {
+					prog = prog.StripHints()
+				}
+				c, err := New(prog, m.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var promise uint64
+				prevQuiet := false
+				for !c.done() {
+					c.progressed = false
+					c.cycle()
+					quiet := !c.progressed
+					if !quiet && c.now < promise {
+						t.Fatalf("cycle %d made a transition, but a quiet cycle promised none before %d", c.now, promise)
+					}
+					if quiet && prevQuiet {
+						promise = max(promise, c.nextEvent())
+					}
+					prevQuiet = quiet
+					if c.now > 100*c.stats.Committed+cycleSlack {
+						t.Fatalf("cycle budget exhausted at cycle %d", c.now)
+					}
+				}
+			})
+		}
+	}
+}

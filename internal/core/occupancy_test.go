@@ -8,12 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestLazyOccupancyMatchesPerCycleSampling is the regression for replacing
-// the per-stream-per-cycle TickOccupancy walk with lazy interval
-// accumulation. The golden integrals below were captured from the
-// per-cycle implementation (sampling every stream and the ROB every cycle)
-// at scale 0.05 on the (3+2) machine, before the accumulation was made
-// lazy; the lazy version must reproduce them exactly, on both engines.
+// TestLazyOccupancyMatchesPerCycleSampling pins the occupancy integrals
+// to golden values captured from per-cycle sampling of every stream and
+// the ROB, at scale 0.05 on the (3+2) machine. Both engines must reproduce
+// them exactly: the skip replays each sample across the cycles it skips.
 func TestLazyOccupancyMatchesPerCycleSampling(t *testing.T) {
 	base := config.Default().WithPorts(3, 2)
 	opt := base.WithOptimizations(2)

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/config"
 	"repro/internal/isa"
-	"repro/internal/memsys"
 )
 
 // cycle advances the machine one clock. Stages run back to front so that an
@@ -13,14 +12,11 @@ import (
 // Every state *transition* (a commit, an issue, a dispatch, a load
 // completing, the emulator refilling the fetch deque, a squash) sets
 // c.progressed; a cycle that ends with it clear changed nothing but
-// per-cycle stall counters, and the event-driven engine in run.go may then
-// jump the clock to the next registered wake (the quiescence invariant,
-// DESIGN.md §12). Whenever a stage creates a timestamp more than one cycle
-// in the future (a cache fill, a TLB fill, a multi-cycle functional-unit
-// latency, a recovery stall), it registers a wake; events exactly one
-// cycle ahead need none, because a skip only begins after two consecutive
-// quiescent cycles. The exception is a fill found by an MSHR stall, which
-// no earlier cycle need have registered (addMSHRWake).
+// per-cycle stall counters and the occupancy samples, and the run loop may
+// then jump the clock to the machine's next event (nextEvent, the
+// quiescence invariant, DESIGN.md §12). Setting progressed is a stage's
+// only duty toward the skip: nextEvent reads the timestamps the stages
+// compare against the clock from the machine itself.
 //
 //ddvet:hotpath
 func (c *Core) cycle() {
@@ -37,33 +33,8 @@ func (c *Core) cycle() {
 	c.issueStage()
 	c.dispatchStage()
 
-	// Drop wakes the clock has reached. Next is the scheduler's only
-	// shrink path; without this, busy phases (which never ask for the next
-	// event) would accumulate stale wakes without bound.
-	c.sched.Next(c.now)
-
+	c.stats.ROBOccupancy += uint64(c.robN)
 	c.stats.Cycles = c.now
-}
-
-// addWake registers a wake for a timestamp the current cycle created, if
-// it is far enough away to need one: cycles at now+1 always execute (a
-// skip requires two quiescent cycles first), so only timestamps beyond
-// that are registered.
-func (c *Core) addWake(cycle uint64) {
-	if cycle > c.now+1 {
-		c.sched.Add(cycle)
-	}
-}
-
-// addMSHRWake registers the fill an MSHR-stalled access waits for. Unlike
-// addWake's timestamps, that fill may have been started by an access that
-// never registered it (a store commit does not wait for its fill), so a
-// fill due at now+1 is not known to be in the heap and is registered too:
-// otherwise a quiescent stall cycle would skip straight past it.
-func (c *Core) addMSHRWake(s *stream) {
-	if w := s.NextWake(c.now); w > 0 {
-		c.sched.Add(w)
-	}
 }
 
 // ---------------------------------------------------------------- commit
@@ -76,9 +47,6 @@ func (c *Core) commitStage() {
 	for n := 0; n < c.cfg.IssueWidth && c.robN > 0; n++ {
 		u := c.robAt(0)
 		if !u.completed || u.readyAt > c.now {
-			if u.completed {
-				c.addWake(u.readyAt)
-			}
 			break
 		}
 		if u.isMem && c.fi != nil && len(c.streams) > 1 && c.fi.CommitDesync(u.seq) {
@@ -99,15 +67,11 @@ func (c *Core) commitStage() {
 			if !s.isHead(u) {
 				panic("core: committing a store that is not its stream's head")
 			}
-			status, combined := s.CommitStore(c.now, u.ef.Addr, u.combineGroup)
-			if status != memsys.CommitOK {
+			ok, combined := s.CommitStore(c.now, u.ef.Addr, u.combineGroup)
+			if !ok {
 				// Port or MSHR stall: retry next cycle. On an MSHR
 				// stall the port stays consumed, as it would in
-				// hardware — and the stall holds until a fill frees an
-				// MSHR, so that completion is the next wake.
-				if status == memsys.CommitMSHRStall {
-					c.addMSHRWake(s)
-				}
+				// hardware.
 				break
 			}
 			u.combined = u.combined || combined
@@ -131,11 +95,15 @@ func (c *Core) commitStage() {
 
 // ---------------------------------------------------------------- memory
 
-// memoryStage drives every stream's pending accesses one cycle.
+// memoryStage drives every stream's pending accesses one cycle. Each
+// queue's occupancy is sampled here, after commit has retired this cycle's
+// heads and before issue and dispatch change the queue; the walk itself
+// changes no queue's length.
 //
 //ddvet:hotpath
 func (c *Core) memoryStage() {
 	for _, s := range c.streams {
+		s.Stats.Occupancy += uint64(s.n)
 		c.processStream(s)
 	}
 }
@@ -337,7 +305,6 @@ func (c *Core) loadAccess(s *stream, pos int, u *uop) {
 	ready, ok := s.Cache.Access(c.now, u.ef.Addr, false)
 	if !ok {
 		s.Stats.LoadMSHRStalls++
-		c.addMSHRWake(s)
 		return
 	}
 	u.readyAt = ready
@@ -345,7 +312,6 @@ func (c *Core) loadAccess(s *stream, pos int, u *uop) {
 	c.progressed = true
 	c.pendDrop(u)
 	c.pushReady(u)
-	c.addWake(ready)
 }
 
 // tryFastForward implements the offset-based bypass on a fast-forwarding
@@ -504,7 +470,6 @@ func (c *Core) issueStage() {
 				if _, ready := c.annotTLB.Lookup(c.now, u.ef.Addr); ready > c.now {
 					u.addrAt = ready + 1
 					c.stats.TLBMissStalls++
-					c.addWake(u.addrAt)
 				}
 			}
 			if u.memWake == memSleepAgen {
@@ -544,7 +509,6 @@ func (c *Core) issueStage() {
 		u.readyAt = c.now + config.Latency(u.class)
 		c.progressed = true
 		c.pushReady(u)
-		c.addWake(u.readyAt)
 		c.stats.Issued++
 		u = next
 	}
@@ -765,10 +729,7 @@ func (c *Core) checkSteering(u *uop) {
 	from.Stats.Dispatched--
 	to.Stats.Dispatched++
 	u.stream = right
-	if until := c.now + c.cfg.RecoveryPenalty; until > c.dispatchStallUntil {
-		c.dispatchStallUntil = until
-		c.addWake(until)
-	}
+	c.dispatchStallUntil = max(c.dispatchStallUntil, c.now+c.cfg.RecoveryPenalty)
 }
 
 // squashYounger removes every instruction younger than u from the pipeline

@@ -7,8 +7,8 @@ import "repro/internal/memsys"
 // stream's access queue, which the core owns as sim-outorder keeps its LSQ
 // inside the core. Load/store ordering is enforced within each queue only
 // (§2.1, §3.1). Four core functions make every queue mutation — enqueue,
-// dequeue, retire and squash — and each keeps the ring, the pending list,
-// Stats.Occupancy and the combining window in step.
+// dequeue, retire and squash — and each keeps the ring, the pending list
+// and the combining window in step.
 type stream struct {
 	*memsys.Stream
 
@@ -27,13 +27,6 @@ type stream struct {
 	// left (pendingAccess), in program order. processStream walks only
 	// these — an entry with its access done is inert in the memory stage.
 	pendHead, pendTail *uop
-
-	// occSynced is the last cycle folded into Stats.Occupancy, which
-	// advances only when the queue length changes. The sample point is
-	// the memory stage, so the commit-stage mutator (retire) syncs
-	// through now-1 and the cycle samples the shrunken queue, while the
-	// later ones (enqueue, dequeue, squash) sync through now.
-	occSynced uint64
 }
 
 // at returns the entry at position i (0 = oldest).
@@ -61,18 +54,6 @@ func (s *stream) popHead() {
 	s.first = (s.first + 1) & (len(s.ring) - 1)
 	s.n--
 	s.base++
-}
-
-// syncOcc folds cycles (occSynced, through] into the occupancy integral at
-// the current queue length. Call before any length change: the cycles
-// since the last change all sampled the old length.
-//
-//ddvet:hotpath
-func (s *stream) syncOcc(through uint64) {
-	if through > s.occSynced {
-		s.Stats.Occupancy += (through - s.occSynced) * uint64(s.n)
-		s.occSynced = through
-	}
 }
 
 // isHead reports whether u is the oldest entry of the queue. Memory
@@ -120,7 +101,6 @@ func (s *stream) pendUnlink(u *uop) {
 // the shadow copy of a dual access, or a misrouted access arriving from
 // the other stream, which recovery made the youngest in the machine — and
 // links it into the pending list while it has memory-stage work left.
-// Every caller runs after cycle now's occupancy sample.
 func (c *Core) enqueue(s *stream, u *uop) {
 	if u.inQ[s.ID] {
 		panic("core: access pushed twice into one stream")
@@ -128,7 +108,6 @@ func (c *Core) enqueue(s *stream, u *uop) {
 	if s.n == len(s.ring) {
 		panic("core: stream queue overflow")
 	}
-	s.syncOcc(c.now)
 	s.ring[(s.first+s.n)&(len(s.ring)-1)] = u
 	u.qTick[s.ID] = s.base + uint64(s.n)
 	u.inQ[s.ID] = true
@@ -138,16 +117,15 @@ func (c *Core) enqueue(s *stream, u *uop) {
 	}
 }
 
-// dequeue removes u from s's queue and pending list, after cycle now's
-// occupancy sample: the wrong copy of a resolved dual access, or a
-// misrouted access leaving for its right stream. The younger entries shift
-// down one position (their tickets follow), moving them under the
-// combining window's anchor, so the window closes.
+// dequeue removes u from s's queue and pending list: the wrong copy of a
+// resolved dual access, or a misrouted access leaving for its right
+// stream. The younger entries shift down one position (their tickets
+// follow), moving them under the combining window's anchor, so the window
+// closes.
 func (c *Core) dequeue(s *stream, u *uop) {
 	if !u.inQ[s.ID] {
 		panic("core: removing an access not in the stream")
 	}
-	s.syncOcc(c.now)
 	mask := len(s.ring) - 1
 	for j := s.indexOf(u); j < s.n-1; j++ {
 		moved := s.at(j + 1)
@@ -161,27 +139,22 @@ func (c *Core) dequeue(s *stream, u *uop) {
 	s.CloseWindow()
 }
 
-// retire pops a committing access off the head of s's queue during cycle
-// now's commit stage, before the cycle's occupancy sample. A committed
+// retire pops a committing access off the head of s's queue. A committed
 // access has no memory-stage work left, so it is on no pending list.
 //
 //ddvet:hotpath
 func (c *Core) retire(s *stream, u *uop) {
 	if !s.isHead(u) {
-		panic("core: retiring an access that is not its stream's head")
-	}
-	if c.now > 0 {
-		s.syncOcc(c.now - 1)
+		panic(errRetireNotHead)
 	}
 	s.popHead()
 }
 
 // squash removes every access younger than maxSeq from s's queue and
-// pending list (misroute recovery, after cycle now's occupancy sample).
-// The combining window closes too: re-dispatched accesses may fill its
-// anchor position, and none may ride a grant won by a squashed access.
+// pending list (misroute recovery). The combining window closes too:
+// re-dispatched accesses may fill its anchor position, and none may ride a
+// grant won by a squashed access.
 func (c *Core) squash(s *stream, maxSeq uint64) {
-	s.syncOcc(c.now)
 	s.CloseWindow()
 	for s.n > 0 && s.at(s.n-1).seq > maxSeq {
 		u := s.at(s.n - 1)

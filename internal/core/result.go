@@ -162,12 +162,6 @@ func (r *Result) String() string {
 }
 
 func (c *Core) result() *Result {
-	// Occupancy integrals are accumulated lazily (only when a queue length
-	// changes); fold the final constant-length tail through the last cycle.
-	c.flushROBOcc()
-	for _, s := range c.streams {
-		s.syncOcc(c.now)
-	}
 	r := &Result{
 		Stats:     c.stats,
 		Config:    c.cfg.Name(),

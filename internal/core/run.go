@@ -37,8 +37,8 @@ type Engine uint8
 
 const (
 	// EngineEvent (the default) skips: when two consecutive cycles make
-	// no state transition, the clock jumps to the next registered wake
-	// and the per-cycle stall counters are replayed across the gap.
+	// no state transition, the clock jumps to the machine's next event
+	// and the per-cycle counters are replayed across the gap.
 	EngineEvent Engine = iota
 	// EngineTick never skips: one cycle() per clock.
 	EngineTick
@@ -168,12 +168,12 @@ func (c *Core) RunWith(ctx context.Context, opts RunOptions) (res *Result, err e
 // run is the cycle loop. With skipping enabled it executes cycles one by
 // one until it has seen two consecutive quiescent cycles — cycles in which
 // no state transition happened (c.progressed stayed false), only per-cycle
-// stall counters moved. The second such cycle is the *representative*
-// cycle: by the quiescence invariant (DESIGN.md §12), every following
-// cycle up to (exclusive) the earliest registered wake is its exact
-// repetition. The loop therefore jumps the clock to one cycle before the
-// next wake and multiplies the representative cycle's counter deltas
-// across the gap; the wake cycle itself executes for real.
+// stall counters and occupancy samples moved. The second such cycle is the
+// *representative* cycle: by the quiescence invariant (DESIGN.md §12),
+// every following cycle up to (exclusive) the machine's next event is its
+// exact repetition. The loop therefore jumps the clock to one cycle before
+// nextEvent and multiplies the representative cycle's counter deltas
+// across the gap; the event cycle itself executes for real.
 //
 // Every abort boundary clamps the jump to land one cycle *before* it, so
 // the boundary cycle also executes for real and the abort fires with the
@@ -217,7 +217,7 @@ func (c *Core) run(ctx context.Context, opts RunOptions, watchdog uint64) (*Resu
 		}
 		// The budget aborts at the first cycle strictly greater than
 		// budget; it also bounds every jump, which is what keeps a
-		// pipeline with no registered wake polling the context.
+		// pipeline with no next event polling the context.
 		budget := 100*c.stats.Committed + cycleSlack
 		if c.now > budget {
 			return nil, c.abort(simerr.KindBudget,
@@ -225,22 +225,15 @@ func (c *Core) run(ctx context.Context, opts RunOptions, watchdog uint64) (*Resu
 		}
 
 		if quiet && canSkip {
-			// Land one cycle before the earliest of: the next wake, the
+			// Land one cycle before the earliest of: the next event, the
 			// watchdog boundary and the cycle cap; landing exactly on the
 			// budget bound makes the next real cycle the aborting one.
-			target := budget
-			if w, ok := c.sched.Next(c.now); ok && w-1 < target {
-				target = w - 1
-			}
+			target := min(budget, c.nextEvent()-1)
 			if !opts.DisableWatchdog {
-				if b := lastProgress + watchdog - 1; b < target {
-					target = b
-				}
+				target = min(target, lastProgress+watchdog-1)
 			}
 			if opts.MaxCycles > 0 {
-				if b := opts.MaxCycles - 1; b < target {
-					target = b
-				}
+				target = min(target, opts.MaxCycles-1)
 			}
 			if target > c.now {
 				c.skipTo(target)
@@ -249,6 +242,49 @@ func (c *Core) run(ctx context.Context, opts RunOptions, watchdog uint64) (*Resu
 		prevQuiet = quiet
 	}
 	return c.result(), nil
+}
+
+// nextEvent returns the earliest cycle after now at which some stage can
+// make a transition that the current quiet cycle did not: the soonest of
+// the timestamps the stages compare against the clock, or ^uint64(0) when
+// none lies ahead. Those are the commit head's readyAt, each issue-list
+// entry's operand bound (issueWake), each pending access's address,
+// store-data and sleep bounds (addrAt, valueAt, memWake), each stream
+// cache's next fill (which ends an MSHR stall) and the end of a recovery
+// stall. Every other wait ends with another stage's transition. The sleep
+// sentinels (memSleepAgen, memSleepPush) lie beyond any budget, so they
+// read as no event. A stage that starts comparing a new timestamp against
+// the clock must add it here, or the skip jumps past it
+// (TestQuietCyclesKeepTheirPromise).
+//
+//ddvet:hotpath
+func (c *Core) nextEvent() uint64 {
+	now := c.now
+	next := after(now, c.dispatchStallUntil)
+	if c.robN > 0 {
+		next = min(next, after(now, c.robAt(0).readyAt))
+	}
+	for u := c.issueHead; u != nil; u = u.issueNext {
+		next = min(next, after(now, u.issueWake))
+	}
+	for _, s := range c.streams {
+		if t := s.Cache.NextFillDone(now); t > 0 {
+			next = min(next, t)
+		}
+		for u := s.pendHead; u != nil; u = u.pendNext[s.ID] {
+			next = min(next, after(now, u.addrAt), after(now, u.valueAt), after(now, u.memWake))
+		}
+	}
+	return next
+}
+
+// after returns t if it lies after now, and otherwise ^uint64(0), the
+// "no event" that min passes over.
+func after(now, t uint64) uint64 {
+	if t > now {
+		return t
+	}
+	return ^uint64(0)
 }
 
 // stallSnapshot holds the counters that a quiescent cycle may still
@@ -292,9 +328,11 @@ func (c *Core) snapStallCounters() {
 // skipTo advances the clock from the just-executed representative cycle to
 // target without executing the cycles in between: each would have repeated
 // the representative cycle exactly, so its counter deltas (current value
-// minus the pre-cycle snapshot) are multiplied across the gap. Occupancy
-// integrals need nothing here — they accumulate lazily off the clock and
-// fold the gap in at the next queue mutation.
+// minus the pre-cycle snapshot) are multiplied across the gap, and so are
+// its occupancy samples, the ROB's and each queue's length, which no quiet
+// cycle changes.
+//
+//ddvet:hotpath
 func (c *Core) skipTo(target uint64) {
 	span := target - c.now
 	s := &c.stallSnap
@@ -305,6 +343,7 @@ func (c *Core) skipTo(target uint64) {
 	c.stats.QueueFullStalls += span * (c.stats.QueueFullStalls - s.queueFull)
 	c.stats.RecoveryStallCycles += span * (c.stats.RecoveryStallCycles - s.recovery)
 	c.stats.PredictedSteers += span * (c.stats.PredictedSteers - s.predicted)
+	c.stats.ROBOccupancy += span * uint64(c.robN)
 	for i, st := range c.streams {
 		ss := &s.streams[i]
 		st.Stats.LoadPortStalls += span * (st.Stats.LoadPortStalls - ss.loadPort)
@@ -313,6 +352,7 @@ func (c *Core) skipTo(target uint64) {
 		st.Stats.StoreMSHRStalls += span * (st.Stats.StoreMSHRStalls - ss.storeMSHR)
 		st.Stats.Combined += span * (st.Stats.Combined - ss.combined)
 		st.Cache.Stats.Rejected += span * (st.Cache.Stats.Rejected - ss.rejected)
+		st.Stats.Occupancy += span * uint64(st.n)
 	}
 	c.now = target
 	c.stats.Cycles = target

@@ -227,6 +227,8 @@ func TestRunnerWaiterRerunsAfterOwnerCancel(t *testing.T) {
 		_, err := r.ResultCtx(ctx, w, cfg)
 		ownerErr <- err
 	}()
+	// Wait until the owner's run is in flight. An owner that finishes
+	// before any poll sees it fails the test instead of hanging it.
 	for {
 		r.mu.Lock()
 		_, busy := r.inflight[key]
@@ -234,7 +236,11 @@ func TestRunnerWaiterRerunsAfterOwnerCancel(t *testing.T) {
 		if busy {
 			break
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case err := <-ownerErr:
+			t.Fatalf("owner finished before its run was seen in flight: err = %v", err)
+		case <-time.After(time.Millisecond):
+		}
 	}
 	type outcome struct {
 		res *core.Result

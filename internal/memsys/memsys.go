@@ -3,7 +3,7 @@
 // the cache itself, the per-cycle port arbitration state in front of it
 // (with the §2.2.2 access-combining window), and the stream's statistics
 // counters, behind a small API the pipeline drives (Grant, CommitStore,
-// CloseWindow, NextWake).
+// CloseWindow).
 //
 // The paper's LVAQ/LVC + LSQ/L1 organization is the N = 2 instance: the
 // core builds one Stream per config.StreamSpec and steers each memory

@@ -32,8 +32,9 @@ func TestGrantHookDeniesPorts(t *testing.T) {
 	}
 
 	// A denying hook must also stall a commit-time store write.
-	if status, _ := s.CommitStore(1, 0x100, GroupNone); status != CommitPortStall {
-		t.Fatalf("CommitStore under denying hook = %v, want CommitPortStall", status)
+	if ok, _ := s.CommitStore(1, 0x100, GroupNone); ok || s.Stats.StorePortStalls != 1 {
+		t.Fatalf("CommitStore under denying hook = %v with %d port stalls, want a port stall",
+			ok, s.Stats.StorePortStalls)
 	}
 
 	s.GrantHook = nil

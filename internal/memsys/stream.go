@@ -29,18 +29,6 @@ type Stats struct {
 	Occupancy uint64 // integral of the pipeline's queue length over cycles
 }
 
-// CommitStatus is the outcome of a store's commit-time cache access.
-type CommitStatus uint8
-
-const (
-	// CommitOK: port granted and the cache accepted the write.
-	CommitOK CommitStatus = iota
-	// CommitPortStall: no port this cycle; retry next cycle.
-	CommitPortStall
-	// CommitMSHRStall: port consumed but all MSHRs busy; retry next cycle.
-	CommitMSHRStall
-)
-
 // Stream is the cache side of one memory access stream: the cache, the
 // per-cycle port state in front of it, and the stream's statistics. The
 // pipeline steers each memory instruction to a stream at dispatch, keeps
@@ -101,15 +89,6 @@ func (s *Stream) Reset() {
 // that has left the queue.
 func (s *Stream) CloseWindow() { s.combineLeft = 0 }
 
-// NextWake reports the earliest cycle strictly after now at which this
-// stream can make progress it could not make now, or 0 when it holds no
-// such future event. Today that is exactly its cache's next fill
-// completion — an MSHR-rejected access can only be accepted once a fill
-// frees an MSHR. Port availability and the combining window need no wake:
-// both reset at the next cycle boundary, so they never block longer than
-// one cycle on their own.
-func (s *Stream) NextWake(now uint64) uint64 { return s.Cache.NextFillDone(now) }
-
 // Grant arbitrates a cache port for one access at queue position pos this
 // cycle. A granted access on a combining stream opens a combining window:
 // up to CombineWidth-1 further same-kind accesses to the same line within
@@ -152,20 +131,21 @@ func (s *Stream) CombineWindow() (left int, line uint32, group int) {
 
 // CommitStore performs a store's commit-time cache write: arbitrate a
 // port for queue position 0 (participating in combining), then access
-// the cache. The pipeline commits a store only from its queue's head. On
-// CommitMSHRStall the port stays consumed, as it would in hardware; the
-// caller retries next cycle.
+// the cache. The pipeline commits a store only from its queue's head. ok
+// is false on a port stall or an MSHR stall, and the caller retries next
+// cycle; on an MSHR stall the port stays consumed, as it would in
+// hardware.
 //
 //ddvet:hotpath
-func (s *Stream) CommitStore(now uint64, addr uint32, group int) (CommitStatus, bool) {
-	ok, combined := s.Grant(0, addr, false, group)
+func (s *Stream) CommitStore(now uint64, addr uint32, group int) (ok, combined bool) {
+	ok, combined = s.Grant(0, addr, false, group)
 	if !ok {
 		s.Stats.StorePortStalls++
-		return CommitPortStall, false
+		return false, false
 	}
 	if _, accepted := s.Cache.Access(now, addr, true); !accepted {
 		s.Stats.StoreMSHRStalls++
-		return CommitMSHRStall, false
+		return false, false
 	}
-	return CommitOK, combined
+	return true, combined
 }

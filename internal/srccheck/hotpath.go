@@ -8,9 +8,9 @@ import (
 
 // checkHotpath gates the zero-steady-state-allocation claim of the
 // event-driven engine: every function annotated //ddvet:hotpath (the cycle
-// body and its stages, the core's queue accessors and retire path, memsys
-// Grant/CommitStore, the sched heap ops, the emulator's StepInto and the
-// memory accessors it calls) is checked two ways.
+// body and its stages, the skip's nextEvent and skipTo, the core's queue
+// accessors and retire path, memsys Grant/CommitStore, the emulator's
+// StepInto and the memory accessors it calls) is checked two ways.
 //
 // AST rules flag constructs that allocate by construction:
 //

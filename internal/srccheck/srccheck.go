@@ -125,8 +125,8 @@ type Config struct {
 func DefaultConfig() *Config {
 	return &Config{
 		DetPackages: []string{
-			"internal/core", "internal/memsys", "internal/sched",
-			"internal/emu", "internal/stats", "internal/experiments",
+			"internal/core", "internal/memsys", "internal/emu",
+			"internal/stats", "internal/experiments",
 		},
 		// serve's and sweep's wall-clock/jitter use is legitimate service
 		// plumbing, but their serialized output (/statz, job results, figure
@@ -147,12 +147,11 @@ func DefaultConfig() *Config {
 			// The mechanism packages must not know about the machine that
 			// drives them.
 			{Kind: "forbid", Pkg: "internal/memsys", Deny: []string{"internal/core"}},
-			{Kind: "forbid", Pkg: "internal/sched", Deny: []string{"internal/core", "internal/memsys"}},
 			// The core is below the service and experiment layers.
 			{Kind: "forbid", Pkg: "internal/core", Deny: []string{"internal/serve", "internal/experiments"}},
 			// The emulator is the architectural reference: it must not
 			// depend on any timing machinery.
-			{Kind: "forbid", Pkg: "internal/emu", Deny: []string{"internal/core", "internal/memsys", "internal/sched"}},
+			{Kind: "forbid", Pkg: "internal/emu", Deny: []string{"internal/core", "internal/memsys"}},
 			// cliutil is flag-surface glue for the commands only.
 			{Kind: "only-from", Pkg: "internal/cliutil", From: []string{"cmd/"}},
 		},

@@ -93,17 +93,17 @@ func TestViolationsDetail(t *testing.T) {
 		t.Errorf("allow-malformed in core.go: got %d findings, want 1", len(got))
 	}
 
-	// sched -> memsys -> core renders the transitive chain.
+	// emu -> memsys -> core renders the transitive chain.
 	var chained bool
-	for _, f := range find("layer-forbid", "internal/sched/sched.go") {
+	for _, f := range find("layer-forbid", "internal/emu/emu.go") {
 		for _, r := range f.Reason {
-			if strings.Contains(r, "internal/sched -> internal/memsys -> internal/core") {
+			if strings.Contains(r, "internal/emu -> internal/memsys -> internal/core") {
 				chained = true
 			}
 		}
 	}
 	if !chained {
-		t.Error("layer-forbid for sched lacks the transitive import chain in its reason")
+		t.Error("layer-forbid for emu lacks the transitive import chain in its reason")
 	}
 
 	// Output packages are in det-map-iter scope even though wall-clock is
@@ -134,13 +134,13 @@ func TestViolationsDetail(t *testing.T) {
 
 	// Canned escape diags inside the annotated Drain become findings; the
 	// inline/no-escape noise does not.
-	if got := find("hotpath-escape", "internal/sched/sched.go"); len(got) != 2 {
+	if got := find("hotpath-escape", "internal/emu/emu.go"); len(got) != 2 {
 		t.Errorf("hotpath-escape: got %d, want 2 (make + func literal)", len(got))
 	}
 
 	// The string([]byte(s)) double conversion yields two alloc findings on
 	// one line, plus literal/concat/make sites elsewhere.
-	if got := find("hotpath-alloc", "internal/sched/sched.go"); len(got) < 4 {
+	if got := find("hotpath-alloc", "internal/emu/emu.go"); len(got) < 4 {
 		t.Errorf("hotpath-alloc: got %d, want >= 4", len(got))
 	}
 }
@@ -201,7 +201,7 @@ func TestLoadRepo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"internal/core", "internal/memsys", "internal/sched", "internal/simerr", "cmd/ddvet"} {
+	for _, want := range []string{"internal/core", "internal/memsys", "internal/emu", "internal/simerr", "cmd/ddvet"} {
 		if mod.ByRel[want] == nil {
 			t.Errorf("loader missed package %s", want)
 		}
@@ -213,7 +213,7 @@ func TestLoadRepo(t *testing.T) {
 	for _, want := range []string{
 		"internal/core.(*Core).cycle",
 		"internal/memsys.(*Stream).Grant",
-		"internal/sched.(*Sched).Add",
+		"internal/core.(*Core).nextEvent",
 	} {
 		found := false
 		for _, s := range symbols {

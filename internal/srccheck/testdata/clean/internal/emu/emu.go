@@ -1,7 +1,7 @@
-// Package sched is a fixture of hotpath patterns that must pass: clean
+// Package emu is a fixture of hotpath patterns that must pass: clean
 // bodies, reasoned allows, panic messages, and allocation in unannotated
 // functions.
-package sched
+package emu
 
 // Heap is a fixture slab.
 type Heap struct {
@@ -23,7 +23,7 @@ func (h *Heap) Push(cycle uint64) {
 //ddvet:hotpath
 func (h *Heap) Pop() uint64 {
 	if len(h.heap) == 0 {
-		panic("sched: pop of empty heap")
+		panic("emu: pop of empty heap")
 	}
 	v := h.heap[0]
 	h.heap = h.heap[:len(h.heap)-1]

@@ -1,6 +1,6 @@
-// Package sched is a fixture: a transitive layering violation (sched ->
+// Package emu is a fixture: a transitive layering violation (emu ->
 // memsys -> core) plus every AST-level hotpath violation.
-package sched
+package emu
 
 import (
 	"fmt"
