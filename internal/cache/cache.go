@@ -118,6 +118,9 @@ type Cache struct {
 	tick     uint64 // LRU clock
 	inflight []uint64
 	mshrs    int
+	// rejectedAt is the cycle of the last access the cache refused
+	// (^0 before the first).
+	rejectedAt uint64
 
 	Stats Stats
 }
@@ -141,12 +144,13 @@ func New(cfg Config, lower Level) *Cache {
 		cfg.MSHRs = DefaultMSHRs
 	}
 	c := &Cache{
-		cfg:       cfg,
-		lower:     lower,
-		sets:      make([][]line, nSets),
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setMask:   uint32(nSets - 1),
-		mshrs:     cfg.MSHRs,
+		cfg:        cfg,
+		lower:      lower,
+		sets:       make([][]line, nSets),
+		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setMask:    uint32(nSets - 1),
+		mshrs:      cfg.MSHRs,
+		rejectedAt: ^uint64(0),
 	}
 	c.setShift = c.lineShift
 	backing := make([]line, nSets*cfg.Assoc)
@@ -218,6 +222,7 @@ func (c *Cache) Access(now uint64, addr uint32, write bool) (uint64, bool) {
 	c.pruneInflight(now)
 	if len(c.inflight) >= c.mshrs {
 		c.Stats.Rejected++
+		c.rejectedAt = now
 		return 0, false
 	}
 
@@ -239,6 +244,7 @@ func (c *Cache) Access(now uint64, addr uint32, write bool) (uint64, bool) {
 	}
 	if victim < 0 {
 		c.Stats.Rejected++
+		c.rejectedAt = now
 		return 0, false
 	}
 
@@ -265,11 +271,16 @@ func (c *Cache) Access(now uint64, addr uint32, write bool) (uint64, bool) {
 }
 
 // NextFillDone returns the earliest cycle strictly after now at which an
-// outstanding fill completes, or 0 when none is in flight. The core's
-// quiescent-cycle skip reads it as a next event: an access rejected with
-// all MSHRs busy, or with every way of its set still filling, can only be
-// accepted once a fill completes.
+// outstanding fill completes, or 0 when none is in flight or the cache
+// refused no access at cycle now. The core's quiescent-cycle skip reads
+// it as a next event: an access rejected with all MSHRs busy, or with
+// every way of its set still filling, can only be accepted once a fill
+// completes, and it retries every cycle until then, so a cycle in which
+// no access was refused has no access waiting for a fill.
 func (c *Cache) NextFillDone(now uint64) uint64 {
+	if c.rejectedAt != now {
+		return 0
+	}
 	var next uint64
 	for _, t := range c.inflight {
 		if t > now && (next == 0 || t < next) {

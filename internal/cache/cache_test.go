@@ -60,11 +60,21 @@ func TestMSHRExhaustion(t *testing.T) {
 	if _, ok := c.Access(0, 0x0040, false); !ok {
 		t.Fatal("miss 2 rejected")
 	}
+	// A fill is an event only for an access waiting on one: none yet.
+	if next := c.NextFillDone(0); next != 0 {
+		t.Errorf("NextFillDone before any refusal = %d, want 0", next)
+	}
 	if _, ok := c.Access(0, 0x0080, false); ok {
 		t.Error("third concurrent miss accepted with 2 MSHRs")
 	}
 	if c.Stats.Rejected != 1 {
 		t.Errorf("Rejected = %d", c.Stats.Rejected)
+	}
+	if next := c.NextFillDone(0); next != 52 {
+		t.Errorf("NextFillDone in the refusing cycle = %d, want 52", next)
+	}
+	if next := c.NextFillDone(1); next != 0 {
+		t.Errorf("NextFillDone a cycle without a refusal = %d, want 0", next)
 	}
 	// After the fills complete the cache accepts misses again.
 	if _, ok := c.Access(100, 0x0080, false); !ok {

@@ -35,14 +35,15 @@ import (
 
 // uop is one in-flight instruction (an RUU entry).
 type uop struct {
-	// The issue walk's gate quartet leads the struct so that skipping a
+	// The issue walk's gate leads the struct so that skipping a
 	// not-yet-eligible entry touches a single cache line: the list link,
-	// the dispatch cycle, the count of in-flight producers, and the
-	// operand-arrival bound (see the wakeup-push block below).
-	issueNext    *uop
+	// the count of in-flight producers and the operand-arrival bound (see
+	// the wakeup-push block below).
+	issueNext   *uop
+	depsPending int8
+	issueWake   uint64
+
 	dispatchedAt uint64
-	depsPending  int8
-	issueWake    uint64
 
 	seq   uint64
 	ef    emu.Effect
@@ -335,9 +336,7 @@ type Core struct {
 
 	tracer Tracer
 
-	// fi, when non-nil, perturbs the run at the FaultInjector hook points
-	// (see run.go); lastCommitCycle feeds the failure snapshot.
-	fi              FaultInjector
+	// lastCommitCycle feeds the failure snapshot.
 	lastCommitCycle uint64
 
 	dispatchStallUntil uint64

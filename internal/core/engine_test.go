@@ -60,12 +60,29 @@ func memBoundConfig() config.Config {
 	return c
 }
 
+// machine names a configuration the multi-workload tests run.
+type machine struct {
+	name  string
+	cfg   config.Config
+	strip bool // run the program with its access-region hints removed
+}
+
+// tlbDualConfig is a (2+2) machine with 4-wide combining and an 8-entry
+// annotation TLB with a 30-cycle miss, under dual steering: the machine
+// whose TLB-miss path delays address verification.
+func tlbDualConfig() config.Config {
+	c := config.Default().WithPorts(2, 2).WithOptimizations(4)
+	c.Steering = config.SteerDual
+	c.TLBEntries, c.TLBMissLatency = 8, 30
+	return c
+}
+
 // TestEngineIdentityAllWorkloads is the differential harness for the
 // event-driven engine: on every workload, for a spread of machine
 // configurations (unified, decoupled, decoupled with both §2.2.2
 // optimizations, a memory-bound cache geometry, ablation-lvaq's 8-entry
-// LVAQ, and dual — plain and with both optimizations — and static
-// steering of hint-stripped programs), the
+// LVAQ, dual — plain, with both optimizations, and with an 8-entry
+// annotation TLB — and static steering of hint-stripped programs), the
 // event engine must produce a Result that is bit-identical to the tick
 // engine's — cycles, every stall counter, every occupancy integral,
 // every cache statistic.
@@ -82,11 +99,7 @@ func TestEngineIdentityAllWorkloads(t *testing.T) {
 	dualOpt := dual.WithOptimizations(2)
 	static := config.Default().WithPorts(3, 2)
 	static.Steering = config.SteerStatic
-	configs := []struct {
-		name  string
-		cfg   config.Config
-		strip bool // run the program with its access-region hints removed
-	}{
+	configs := []machine{
 		{"unified(4+0)", config.Default().WithPorts(4, 0), false},
 		{"decoupled(3+2)", config.Default().WithPorts(3, 2), false},
 		{"optimized(3+2)", config.Default().WithPorts(3, 2).WithOptimizations(2), false},
@@ -95,6 +108,7 @@ func TestEngineIdentityAllWorkloads(t *testing.T) {
 		{"dual-stripped(3+2)", dual, true},
 		{"dual-stripped-opt(3+2)", dualOpt, true},
 		{"static-stripped(3+2)", static, true},
+		{"tlb-dual-stripped(2+2)", tlbDualConfig(), true},
 	}
 	scale := 0.02
 	golden := readResultGolden(t)
@@ -375,34 +389,39 @@ func TestWatchdogFiresAcrossSkippedGap(t *testing.T) {
 	}
 }
 
-// TestQuietCyclesKeepTheirPromise checks the skip's premise cycle by
-// cycle, without skipping. After two consecutive quiet cycles the skip
-// jumps to the next event and replays the second quiet cycle across the
-// gap, so each such cycle promises that no cycle before nextEvent() makes
-// a transition. The test steps cycle() by hand and fails at the first
-// cycle that breaks the largest open promise, naming the timestamp a
-// stage compared but nextEvent did not read.
-func TestQuietCyclesKeepTheirPromise(t *testing.T) {
+// probeMachines are the machines the cycle-by-cycle probes below run
+// every workload on: each memory-stage path the skip and the sleeps must
+// agree on — a unified queue, both optimizations, a short LVAQ, static
+// pairs, MSHR pile-ups, a thrashing direct-mapped L1, dual insertion with
+// and without the annotation TLB, and misroute recovery.
+func probeMachines() []machine {
+	lvaq8 := config.Default().WithPorts(3, 2).WithOptimizations(2)
+	lvaq8.LVAQSize = 8
 	small := config.Default().WithPorts(2, 0)
 	small.L1 = config.CacheParams{SizeBytes: 2 * 1024, LineBytes: 32, Assoc: 1, HitLatency: 1}
-	tlb := config.Default().WithPorts(2, 2).WithOptimizations(4)
-	tlb.Steering = config.SteerDual
-	tlb.TLBEntries, tlb.TLBMissLatency = 8, 30
+	dualOpt := config.Default().WithPorts(3, 2).WithOptimizations(2)
+	dualOpt.Steering = config.SteerDual
 	sp := config.Default().WithPorts(2, 2)
 	sp.Steering = config.SteerSP
 	sp.RecoveryPenalty = 20
-	machines := []struct {
-		name  string
-		cfg   config.Config
-		strip bool
-	}{
+	return []machine{
+		{"unified(2+0)", config.Default().WithPorts(2, 0), false},
 		{"optimized(3+2)", config.Default().WithPorts(3, 2).WithOptimizations(2), false},
+		{"optimized-lvaq8(3+2)", lvaq8, false},
+		{"static-opt(2+2)", config.Default().WithPorts(2, 2).WithStaticOptimizations(4), false},
 		{"mem-bound(2+2)", memBoundConfig(), false},
-		{"tlb-dual-stripped(2+2)", tlb, true},
 		{"2KB-L1(2+0)", small, false},
+		{"dual-stripped-opt(3+2)", dualOpt, true},
+		{"tlb-dual-stripped(2+2)", tlbDualConfig(), true},
 		{"sp-stripped-rp20(2+2)", sp, true},
 	}
-	for _, m := range machines {
+}
+
+// forEachProbeRun calls check, in a parallel subtest, with a fresh core
+// for every workload at scale 0.02 on every probe machine, and with the
+// program and machine it was built from.
+func forEachProbeRun(t *testing.T, check func(t *testing.T, c *Core, prog *asm.Program, cfg config.Config)) {
+	for _, m := range probeMachines() {
 		for _, w := range workload.All() {
 			t.Run(w.Name+"/"+m.name, func(t *testing.T) {
 				t.Parallel()
@@ -414,24 +433,70 @@ func TestQuietCyclesKeepTheirPromise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var promise uint64
-				prevQuiet := false
-				for !c.done() {
-					c.progressed = false
-					c.cycle()
-					quiet := !c.progressed
-					if !quiet && c.now < promise {
-						t.Fatalf("cycle %d made a transition, but a quiet cycle promised none before %d", c.now, promise)
-					}
-					if quiet && prevQuiet {
-						promise = max(promise, c.nextEvent())
-					}
-					prevQuiet = quiet
-					if c.now > 100*c.stats.Committed+cycleSlack {
-						t.Fatalf("cycle budget exhausted at cycle %d", c.now)
-					}
-				}
+				check(t, c, prog, m.cfg)
 			})
 		}
 	}
+}
+
+// TestQuietCyclesKeepTheirPromise checks the skip's premise cycle by
+// cycle, without skipping. After two consecutive quiet cycles the skip
+// jumps to the next event and replays the second quiet cycle across the
+// gap, so each such cycle promises that no cycle before nextEvent() makes
+// a transition. The test steps cycle() by hand and fails at the first
+// cycle that breaks the largest open promise, naming the timestamp a
+// stage compared but nextEvent did not read.
+func TestQuietCyclesKeepTheirPromise(t *testing.T) {
+	forEachProbeRun(t, func(t *testing.T, c *Core, _ *asm.Program, _ config.Config) {
+		var promise uint64
+		prevQuiet := false
+		for !c.done() {
+			c.progressed = false
+			c.cycle()
+			quiet := !c.progressed
+			if !quiet && c.now < promise {
+				t.Fatalf("cycle %d made a transition, but a quiet cycle promised none before %d", c.now, promise)
+			}
+			if quiet && prevQuiet {
+				promise = max(promise, c.nextEvent())
+			}
+			prevQuiet = quiet
+			if c.now > 100*c.stats.Committed+cycleSlack {
+				t.Fatalf("cycle budget exhausted at cycle %d", c.now)
+			}
+		}
+	})
+}
+
+// TestForgetfulMemoryStageMatches is the oracle for the memory stage's
+// sleeps and memos, which both engines share, so tick ≡ event cannot see a
+// wrong one. Before every hand-stepped cycle it clears each pending
+// access's sleep bound (memWake) and its order-scan and fast-forward
+// memos (osState/osCand, ffState/ffCand), so every access is visited and
+// rescanned every cycle. A sleep that ends late, or a memo that outlives
+// its verdict, makes the normal run differ from this forgetful one.
+func TestForgetfulMemoryStageMatches(t *testing.T) {
+	forEachProbeRun(t, func(t *testing.T, c *Core, prog *asm.Program, cfg config.Config) {
+		for !c.done() {
+			for _, s := range c.streams {
+				for u := s.pendHead; u != nil; u = u.pendNext[s.ID] {
+					u.memWake = 0
+					u.osState, u.osCand = osNone, nil
+					u.ffState, u.ffCand = ffNone, nil
+				}
+			}
+			c.cycle()
+			if c.now > 100*c.stats.Committed+cycleSlack {
+				t.Fatalf("cycle budget exhausted at cycle %d", c.now)
+			}
+		}
+		want, err := runProgram(t, prog, cfg, EngineEvent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.result(); !reflect.DeepEqual(got, want) {
+			t.Errorf("forgetful run: %d cycles, %d committed; normal run: %d, %d",
+				got.Cycles, got.Committed, want.Cycles, want.Committed)
+		}
+	})
 }

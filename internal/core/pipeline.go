@@ -21,9 +21,6 @@ import (
 //ddvet:hotpath
 func (c *Core) cycle() {
 	c.now++
-	if c.fi != nil {
-		c.fi.BeginCycle(c.now)
-	}
 	for _, s := range c.streams {
 		s.Reset()
 	}
@@ -48,14 +45,6 @@ func (c *Core) commitStage() {
 		u := c.robAt(0)
 		if !u.completed || u.readyAt > c.now {
 			break
-		}
-		if u.isMem && c.fi != nil && len(c.streams) > 1 && c.fi.CommitDesync(u.seq) {
-			// Injected fault: corrupt the core's record of which stream
-			// the access occupies without moving the queue entry. The
-			// head-only invariants of store commit and retire below must
-			// catch the lie and panic; RunWith contains it into a
-			// SimError.
-			u.stream = (u.stream + 1) % len(c.streams)
 		}
 		if u.isMem && !u.isLoad {
 			// Stores write their stream's cache at commit and need a
@@ -441,12 +430,6 @@ func (c *Core) issueStage() {
 			break
 		}
 		next := u.issueNext
-		// The list is in dispatch order, so dispatchedAt is nondecreasing
-		// along it: the first entry dispatched this cycle ends the walk —
-		// everything younger was dispatched this cycle too.
-		if u.dispatchedAt >= c.now {
-			break
-		}
 		// The wakeup push keeps depsPending/issueWake current, so a
 		// waiting entry costs one line of its own struct here instead of
 		// a walk of its producers: depsPending == 0 with issueWake in
@@ -542,13 +525,6 @@ func (c *Core) dispatchStage() {
 		var target int
 		if d.isMem {
 			local, dual, spec = c.steer(ef, d)
-			if c.fi != nil && c.cfg.Decoupled() {
-				// Injected fault: a corrupted steering hint. The
-				// verification path (checkSteering) recovers misroutes,
-				// so the lie costs cycles, never correctness.
-				local = c.fi.FlipSteer(ef.PC, local)
-				spec = spec && local
-			}
 			target = c.route(local)
 			if c.streamFull(target) || (dual && c.streamFull(c.route(!local))) {
 				// The effect stays at the front for the next cycle.
@@ -647,14 +623,10 @@ func (c *Core) dispatchStage() {
 	}
 }
 
-// streamFull reports whether stream id cannot accept another access this
-// cycle: its architectural size is reached, or an injected queue-pressure
-// fault has transiently shrunk its effective capacity.
+// streamFull reports whether stream id's queue is at its architectural
+// size.
 func (c *Core) streamFull(id int) bool {
 	s := c.streams[id]
-	if c.fi != nil && s.n >= c.fi.QueueCap(id, s.Spec.QueueSize) {
-		return true
-	}
 	return s.n >= s.Spec.QueueSize
 }
 

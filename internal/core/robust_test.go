@@ -11,38 +11,12 @@ import (
 	"repro/internal/simerr"
 )
 
-// stubInjector is a minimal FaultInjector for targeted robustness tests.
-type stubInjector struct {
-	denyAll  bool   // deny every port grant (livelocks the first load)
-	desyncAt uint64 // corrupt the n-th memory commit-head encounter (0 = never)
-	seen     uint64
-	fired    bool
-}
-
-func (s *stubInjector) BeginCycle(uint64)                   {}
-func (s *stubInjector) FlipSteer(_ uint32, local bool) bool { return local }
-func (s *stubInjector) QueueCap(_, arch int) int            { return arch }
-func (s *stubInjector) AllowGrant(int, uint32, bool) bool   { return !s.denyAll }
-
-func (s *stubInjector) CommitDesync(uint64) bool {
-	if s.desyncAt == 0 || s.fired {
-		return false
-	}
-	s.seen++
-	if s.seen < s.desyncAt {
-		return false
-	}
-	s.fired = true
-	return true
-}
-
 func runWith(t *testing.T, src string, cfg config.Config, opts RunOptions) (*Result, error) {
 	t.Helper()
 	c, err := New(compile(t, src), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c.SetFaultInjector(opts.Injector)
 	return c.RunWith(context.Background(), opts)
 }
 
@@ -115,9 +89,18 @@ func TestDeadlineAbortsRun(t *testing.T) {
 	}
 }
 
-// A pipeline whose head load can never win a cache port commits nothing;
-// the forward-progress watchdog must abort it with a snapshot instead of
-// letting it spin to the cycle budget.
+// stalledMemory is the default (2+0) machine with a 3,000,000-cycle main
+// memory: a cold load at the ROB head commits nothing for far longer than
+// any watchdog window or the cycle budget of an empty run.
+func stalledMemory() config.Config {
+	cfg := config.Default()
+	cfg.MemLatency = 3_000_000
+	return cfg
+}
+
+// A pipeline whose head load waits out a memory access longer than the
+// watchdog window commits nothing; the forward-progress watchdog must
+// abort it with a snapshot instead of letting it spin to the cycle budget.
 func TestWatchdogTripsOnLivelock(t *testing.T) {
 	const src = `
         .text
@@ -126,8 +109,7 @@ main:
         out $t0
         halt
 `
-	_, err := runWith(t, src, config.Default(),
-		RunOptions{WatchdogCycles: 2000, Injector: &stubInjector{denyAll: true}})
+	_, err := runWith(t, src, stalledMemory(), RunOptions{WatchdogCycles: 2000})
 	se := asSimError(t, err, simerr.KindWatchdog)
 	snap := se.Snapshot
 	if snap.ROBHead == nil || !snap.ROBHead.IsLoad {
@@ -153,21 +135,40 @@ main:
         lw  $t0, 0($sp)
         halt
 `
-	_, err := runWith(t, src, config.Default(),
-		RunOptions{DisableWatchdog: true, Injector: &stubInjector{denyAll: true}})
+	_, err := runWith(t, src, stalledMemory(), RunOptions{DisableWatchdog: true})
 	se := asSimError(t, err, simerr.KindBudget)
 	if !errors.Is(se, ErrBudget) {
 		t.Errorf("errors.Is(err, ErrBudget) = false, err = %v", se)
 	}
 }
 
-// An injected stream-bookkeeping corruption must be caught by the
-// head-only invariants of the core's memory queues and contained into a
-// KindPanic SimError instead of crashing the process.
+// A corrupted record of which stream a store occupies must be caught by
+// the head-only check at the store's commit and contained into a
+// KindPanic SimError carrying a stack and both streams' state, instead of
+// crashing the process. The test steps the machine by hand until a store
+// has issued (so steering verification is behind it), points the store at
+// the other stream, and lets RunWith continue the run.
 func TestPanicContainmentOnCommitDesync(t *testing.T) {
-	cfg := config.Default().WithPorts(2, 2)
-	_, err := runWith(t, fibProgram, cfg,
-		RunOptions{Injector: &stubInjector{desyncAt: 1}})
+	c, err := New(compile(t, fibProgram), config.Default().WithPorts(2, 2))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var st *uop
+	for st == nil && !c.done() {
+		c.cycle()
+		for _, s := range c.streams {
+			for i := 0; i < s.n; i++ {
+				if u := s.at(i); !u.isLoad && u.issued {
+					st = u
+				}
+			}
+		}
+	}
+	if st == nil {
+		t.Fatal("no store issued")
+	}
+	st.stream = 1 - st.stream
+	_, err = c.RunWith(context.Background(), RunOptions{})
 	se := asSimError(t, err, simerr.KindPanic)
 	if !strings.Contains(se.Reason, "not its stream's head") {
 		t.Errorf("panic reason %q does not name the stream-head invariant", se.Reason)

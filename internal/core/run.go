@@ -52,9 +52,9 @@ func (e Engine) String() string {
 	return "event"
 }
 
-// RunOptions bounds and instruments one simulation run. The zero value
-// reproduces the historical Run() behaviour (no cycle cap, no deadline,
-// default watchdog, no fault injection) bit-for-bit.
+// RunOptions bounds one simulation run. The zero value reproduces the
+// historical Run() behaviour (no cycle cap, no deadline, default watchdog)
+// bit-for-bit.
 type RunOptions struct {
 	// MaxCycles aborts the run with a KindMaxCycles SimError once the
 	// cycle counter reaches it (0 = unbounded).
@@ -70,55 +70,9 @@ type RunOptions struct {
 	WatchdogCycles uint64
 	// DisableWatchdog turns the forward-progress check off entirely.
 	DisableWatchdog bool
-	// Injector, when non-nil, perturbs the run deterministically (see
-	// internal/faultinject). Nil injects nothing and costs nothing. An
-	// armed injector also turns skipping off: BeginCycle must be called
-	// once per cycle for a campaign to replay deterministically.
-	Injector FaultInjector
 	// Engine selects whether the run loop skips quiescent cycles; the
 	// zero value, EngineEvent, does.
 	Engine Engine
-}
-
-// FaultInjector is the hook surface a fault-injection campaign drives.
-// Implementations must be deterministic functions of their own seed and the
-// call sequence: the core calls them at fixed points of its (deterministic)
-// cycle loop, so equal seeds replay equal faults. The no-fault answers are:
-// FlipSteer returns local unchanged, QueueCap returns arch, AllowGrant
-// returns true, CommitDesync returns false.
-type FaultInjector interface {
-	// BeginCycle is called once at the top of every cycle.
-	BeginCycle(now uint64)
-	// FlipSteer may corrupt the dispatch-time local/non-local
-	// classification of the memory access at pc (a corrupted steering
-	// hint); the steering-verification and misroute-recovery machinery
-	// must absorb the lie.
-	FlipSteer(pc uint32, local bool) bool
-	// QueueCap returns the effective capacity of stream id this cycle;
-	// returning less than arch models transient queue pressure.
-	QueueCap(id, arch int) int
-	// AllowGrant reports whether stream id may win a cache port for the
-	// given access this cycle; false models a dropped/delayed port grant.
-	AllowGrant(id int, addr uint32, isLoad bool) bool
-	// CommitDesync, consulted when a memory instruction reaches the
-	// commit head, reports whether the core's stream bookkeeping for it
-	// should be corrupted — a deliberate invariant violation that must be
-	// caught by the core's head-only checks on its memory queues and
-	// contained into a typed error.
-	CommitDesync(seq uint64) bool
-}
-
-// SetFaultInjector installs (or with nil removes) a fault injector. It must
-// be called before Run/RunWith.
-func (c *Core) SetFaultInjector(fi FaultInjector) {
-	c.fi = fi
-	for _, s := range c.streams {
-		if fi == nil {
-			s.GrantHook = nil
-		} else {
-			s.GrantHook = fi.AllowGrant
-		}
-	}
 }
 
 // Run simulates until the program halts and the pipeline drains (or until
@@ -129,7 +83,7 @@ func (c *Core) Run() (*Result, error) {
 	return c.RunWith(context.Background(), RunOptions{})
 }
 
-// RunWith simulates like Run, bounded and instrumented by ctx and opts:
+// RunWith simulates like Run, bounded by ctx and opts:
 // the run ends early — with a *simerr.SimError carrying a pipeline
 // snapshot — when the context is cancelled, a deadline passes, the cycle
 // cap is reached, or the forward-progress watchdog finds a livelocked
@@ -137,9 +91,6 @@ func (c *Core) Run() (*Result, error) {
 // contained and returned as the same error type. When nothing trips, the
 // result is bit-identical to Run's.
 func (c *Core) RunWith(ctx context.Context, opts RunOptions) (res *Result, err error) {
-	if opts.Injector != nil {
-		c.SetFaultInjector(opts.Injector)
-	}
 	if !opts.Deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, opts.Deadline)
@@ -178,10 +129,8 @@ func (c *Core) RunWith(ctx context.Context, opts RunOptions) (res *Result, err e
 // Every abort boundary clamps the jump to land one cycle *before* it, so
 // the boundary cycle also executes for real and the abort fires with the
 // same cycle number, counters and pipeline snapshot as without skipping.
-// With a fault injector armed the loop never skips (BeginCycle must run
-// every cycle for deterministic replay).
 func (c *Core) run(ctx context.Context, opts RunOptions, watchdog uint64) (*Result, error) {
-	skip := opts.Engine == EngineEvent && c.fi == nil
+	skip := opts.Engine == EngineEvent
 	lastCommitted, lastProgress := c.stats.Committed, c.now
 	prevQuiet := false
 	var iters uint64
@@ -249,11 +198,12 @@ func (c *Core) run(ctx context.Context, opts RunOptions, watchdog uint64) (*Resu
 // the timestamps the stages compare against the clock, or ^uint64(0) when
 // none lies ahead. Those are the commit head's readyAt, each issue-list
 // entry's operand bound (issueWake), each pending access's address,
-// store-data and sleep bounds (addrAt, valueAt, memWake), each stream
-// cache's next fill (which ends an MSHR stall) and the end of a recovery
-// stall. Every other wait ends with another stage's transition. The sleep
-// sentinels (memSleepAgen, memSleepPush) lie beyond any budget, so they
-// read as no event. A stage that starts comparing a new timestamp against
+// store-data and sleep bounds (addrAt, valueAt, memWake), the next fill
+// of each stream cache that refused an access this cycle (a fill ends
+// only such a wait) and the end of a recovery stall. Every other wait
+// ends with another stage's transition. The sleep sentinels
+// (memSleepAgen, memSleepPush) lie beyond any budget, so they read as no
+// event. A stage that starts comparing a new timestamp against
 // the clock must add it here, or the skip jumps past it
 // (TestQuietCyclesKeepTheirPromise).
 //

@@ -38,8 +38,8 @@ type Runner struct {
 	// Progress, when non-nil, receives one line per finished simulation.
 	Progress io.Writer
 	// RunOpts bounds every simulation this runner starts (cycle caps,
-	// deadline, watchdog, fault injection). The zero value reproduces
-	// unbounded historical behaviour.
+	// deadline, watchdog). The zero value reproduces unbounded historical
+	// behaviour.
 	RunOpts core.RunOptions
 
 	mu       sync.Mutex
@@ -104,21 +104,11 @@ func (r *Runner) ResultCtx(ctx context.Context, w workload.Workload, cfg config.
 // replacing the runner's RunOpts for this run only. The result cache is
 // shared with the other Result variants: a completed run is deterministic
 // regardless of its budget, so budget-only option differences cannot
-// poison the cache. A run whose options carry a fault injector is the
-// exception — injected faults perturb timing on purpose — so
-// injector-armed runs bypass the cache entirely (neither hitting nor
-// filling it) while keeping the same panic containment.
+// poison the cache.
 func (r *Runner) ResultProgramOptsCtx(ctx context.Context, name string, prog *asm.Program, cfg config.Config, opts core.RunOptions) (*core.Result, error) {
-	run := func() (*core.Result, error) {
+	res, err := r.cachedRun(cfgKey("prog:"+name, cfg), name, cfg, func() (*core.Result, error) {
 		return r.runProgramOpts(ctx, prog, cfg, opts)
-	}
-	var res *core.Result
-	var err error
-	if opts.Injector != nil {
-		res, err = r.containedRun(run)
-	} else {
-		res, err = r.cachedRun(cfgKey("prog:"+name, cfg), name, cfg, run)
-	}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: program %s under %s: %w", name, cfg.Name(), err)
 	}

@@ -41,14 +41,6 @@ type Stream struct {
 	Ports Ports
 	Stats Stats
 
-	// GrantHook, when non-nil, is consulted before every port
-	// acquisition; returning false denies the port (the access stalls and
-	// retries like any port conflict). It is the fault-injection point for
-	// dropped and delayed grants; nil (the default) costs nothing and
-	// changes nothing. Accesses riding an open combining window do not
-	// consume a port and are not subject to the hook.
-	GrantHook func(id int, addr uint32, isLoad bool) bool
-
 	// Access-combining window (§2.2.2), reset each cycle: one port grant
 	// covers up to Spec.CombineWidth consecutive same-line accesses of
 	// the same kind. Under Spec.CombineStatic the window additionally
@@ -105,9 +97,6 @@ func (s *Stream) Grant(pos int, addr uint32, isLoad bool, group int) (ok, combin
 		s.combineLeft--
 		s.Stats.Combined++
 		return true, true
-	}
-	if s.GrantHook != nil && !s.GrantHook(s.ID, addr, isLoad) {
-		return false, false
 	}
 	if !s.Ports.Grant(addr, !isLoad) {
 		return false, false

@@ -2,8 +2,8 @@
 // that accepts simulation jobs (config JSON + workload name or assembled
 // program in, statistics JSON out) and is robust by construction.
 //
-// Robustness properties, each enforced structurally and proven by the
-// service soak in internal/faultinject:
+// Robustness properties, each enforced structurally and exercised by the
+// service soak (TestServiceSoak):
 //
 //   - Bounded everything: a fixed worker pool, an admission-controlled
 //     queue with a global depth bound and per-client occupancy bound
@@ -80,8 +80,8 @@ type Options struct {
 	// Deadline is ignored — wall-clock bounding is JobTimeout's job).
 	RunOpts core.RunOptions
 	// JobRunOpts, when non-nil, replaces RunOpts per attempt. The
-	// service soak uses it to arm seeded per-run fault injectors; runs
-	// whose options carry an injector bypass the result caches.
+	// service and sweep soaks use it to fail chosen attempts through
+	// their own run bounds.
 	JobRunOpts func(key string, attempt int) core.RunOptions
 
 	// RunnerResultCap rotates the in-memory runner once it holds this
@@ -161,7 +161,7 @@ type Server struct {
 
 	// runHook, when non-nil, replaces the simulation call; serve's own
 	// tests use it to model slow, failing and hanging runs determinist-
-	// ically. The faultinject soak drives real runs instead.
+	// ically. The service soak drives real runs instead.
 	runHook func(ctx context.Context, rj *resolvedJob, opts core.RunOptions) (*core.Result, error)
 }
 

@@ -1,4 +1,4 @@
-package faultinject
+package serve_test
 
 import (
 	"context"
@@ -24,16 +24,16 @@ import (
 
 // The service soak drives the full HTTP service the way a hostile fleet
 // would: concurrent clients mixing honest jobs, duplicates, malformed
-// requests, slow request bodies, and cancel storms, while seeded fault
-// campaigns perturb a share of the underlying runs and a background
+// requests, slow request bodies, and cancel storms, while a share of
+// first run attempts fail through their own run bounds and a background
 // corruptor scribbles over the persistent cache. The claims under test
-// are the service layer's robustness properties, not simulator fidelity
-// (the run-level soaks own that):
+// are the service layer's robustness properties, not simulator fidelity:
 //
 //   - every HTTP response lands in the documented status set with a
 //     well-formed typed body — no hung requests, no undocumented states;
-//   - CommitDesync campaigns surface as contained panic errors (500 with
-//     a pipeline snapshot), never as a crashed or wedged service;
+//   - a transient failure (watchdog) is retried, and a terminal one
+//     (cycle cap) surfaces as a 422 with a pipeline snapshot, never as a
+//     crashed or wedged service;
 //   - cache corruption degrades to recomputation, never to a failure;
 //   - after the storm, the server drains cleanly within its deadline and
 //     leaks no goroutines.
@@ -67,11 +67,13 @@ main:
 	halt
 `
 
-// soakJobRunOpts arms a deterministic per-run fault campaign keyed on the
-// job's cache key: ~half the first attempts run clean, the rest carry a
-// seeded injector — mostly Recoverable subsets, a slice with CommitDesync
-// so the containment path stays hot. Retries always run clean, modelling
-// a transient fault that has passed.
+// soakJobRunOpts fails a deterministic share of first attempts, keyed on
+// the job's cache key, through the run's own bounds: a 16-cycle watchdog
+// window trips at a workload's first cold miss, a transient failure the
+// server retries, and a 200-cycle cap ends any workload run with
+// KindMaxCycles, a terminal failure. Half the first attempts and every
+// retry run with the clean bounds, modelling a transient fault that has
+// passed.
 func soakJobRunOpts(key string, attempt int) core.RunOptions {
 	opts := core.RunOptions{MaxCycles: 20_000_000, WatchdogCycles: 100_000}
 	if attempt > 0 {
@@ -79,16 +81,11 @@ func soakJobRunOpts(key string, attempt int) core.RunOptions {
 	}
 	h := fnv.New64a()
 	io.WriteString(h, key)
-	sum := h.Sum64()
-	seed := int64(sum >> 1)
-	switch sum % 8 {
-	case 0, 1, 2, 3: // clean
-	case 4, 5:
-		opts.Injector = New(seed, Params{Faults: Recoverable})
-	case 6:
-		opts.Injector = New(seed, Params{Faults: DropGrant | FlipSteer})
+	switch h.Sum64() % 8 {
+	case 4, 5, 6:
+		opts.WatchdogCycles = 16
 	case 7:
-		opts.Injector = New(seed, Params{Faults: Recoverable | CommitDesync})
+		opts.MaxCycles = 200
 	}
 	return opts
 }
@@ -268,8 +265,8 @@ func TestServiceSoak(t *testing.T) {
 					if err := json.Unmarshal(data, &eb); err != nil || eb.Kind == "" {
 						t.Errorf("%s/%d: untyped error body (err %v):\n%s", client, i, err, data)
 					}
-					if eb.Kind == "panic" && eb.Snapshot == "" {
-						t.Errorf("%s/%d: contained panic without a pipeline snapshot", client, i)
+					if (eb.Kind == "watchdog" || eb.Kind == "max-cycles") && eb.Snapshot == "" {
+						t.Errorf("%s/%d: %s failure without a pipeline snapshot", client, i, eb.Kind)
 					}
 					r.Kind = eb.Kind
 					record(r, "error:"+eb.Kind)
@@ -305,6 +302,9 @@ func TestServiceSoak(t *testing.T) {
 	}
 	if census["error:bad-request"] == 0 || census["error:bad-json"] == 0 {
 		t.Errorf("malformed-request paths not exercised: %v", census)
+	}
+	if census["error:max-cycles"] == 0 || z.Retries == 0 {
+		t.Errorf("failed first attempts not exercised: census %v, %d retries", census, z.Retries)
 	}
 	if z.Cache.Writes == 0 {
 		t.Error("persistent cache never written")

@@ -1,4 +1,4 @@
-package faultinject
+package sweep_test
 
 import (
 	"bytes"
@@ -56,9 +56,8 @@ func cleanSweepRunOpts() core.RunOptions {
 // forward-progress window that trips immediately), and a slice of those
 // fail the first retry too, so both the one-retry and the deep-retry
 // paths stay hot. Retries past the campaign run clean, and only clean
-// runs ever produce a result — injected timing faults would perturb
-// cycle counts and break the byte-identical figure claim, so this soak
-// uses none.
+// runs ever produce a result, so every figure byte comes from the same
+// simulation as the reference's.
 func sweepSoakRunOpts(key string, attempt int) core.RunOptions {
 	opts := cleanSweepRunOpts()
 	h := fnv.New64a()
@@ -151,6 +150,20 @@ func sweepFigureBytes(t *testing.T, f *sweep.Figure) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+func fetchStatz(t *testing.T, base string) serve.Statz {
+	t.Helper()
+	resp, err := http.Get(base + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var z serve.Statz
+	if err := json.NewDecoder(resp.Body).Decode(&z); err != nil {
+		t.Fatal(err)
+	}
+	return z
 }
 
 func TestSweepSoak(t *testing.T) {

@@ -98,10 +98,9 @@ func Assemble(name, source string) (*Program, error) { return asm.Assemble(name,
 // NewMachine loads a program into a fresh functional emulator.
 func NewMachine(prog *Program) *Machine { return emu.New(prog) }
 
-// RunOptions bounds and instruments one simulation run: a cycle cap, a
-// wall-clock deadline, the forward-progress watchdog window, and an
-// optional fault injector. The zero value reproduces the unbounded
-// historical behaviour bit-for-bit.
+// RunOptions bounds one simulation run: a cycle cap, a wall-clock
+// deadline and the forward-progress watchdog window. The zero value
+// reproduces the unbounded historical behaviour bit-for-bit.
 type RunOptions = core.RunOptions
 
 // SimError is the typed failure of a simulation run: its Kind says why the
@@ -144,16 +143,16 @@ func RunProgram(prog *Program, cfg Config) (*Result, error) {
 	return RunProgramWith(context.Background(), prog, cfg, RunOptions{})
 }
 
-// RunWith simulates a workload bounded and instrumented by ctx and opts;
-// abnormal ends (cancellation, cycle cap, watchdog, contained panics) are
-// reported as a *SimError.
+// RunWith simulates a workload bounded by ctx and opts; abnormal ends
+// (cancellation, cycle cap, watchdog, contained panics) are reported as a
+// *SimError.
 func RunWith(ctx context.Context, w Workload, scale float64, cfg Config, opts RunOptions) (*Result, error) {
 	return RunProgramWith(ctx, w.Program(scale), cfg, opts)
 }
 
-// RunProgramWith simulates an assembled program bounded and instrumented
-// by ctx and opts; abnormal ends (cancellation, cycle cap, watchdog,
-// contained panics) are reported as a *SimError.
+// RunProgramWith simulates an assembled program bounded by ctx and opts;
+// abnormal ends (cancellation, cycle cap, watchdog, contained panics) are
+// reported as a *SimError.
 func RunProgramWith(ctx context.Context, prog *Program, cfg Config, opts RunOptions) (*Result, error) {
 	c, err := core.New(prog, cfg)
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/faultinject"
 )
 
 func TestFacadeAssembleAndRun(t *testing.T) {
@@ -116,34 +114,32 @@ func TestFacadeConfigHelpers(t *testing.T) {
 	}
 }
 
-// TestFacadeSimErrorOnInvariantViolation drives a memory-subsystem
-// head-only-commit violation (via a seeded commit-desync fault) through the
-// public facade and checks it surfaces as a typed *SimError carrying the
-// failure cycle and per-stream pipeline state, not as a process panic.
+// TestFacadeSimErrorOnInvariantViolation breaks the forward-progress
+// invariant through the public facade — vortex on a machine whose main
+// memory takes 3,000,000 cycles, under a 2000-cycle watchdog — and checks
+// it surfaces as a typed *SimError carrying the failure cycle and
+// per-stream pipeline state.
 func TestFacadeSimErrorOnInvariantViolation(t *testing.T) {
 	w, err := WorkloadByName("vortex")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig().WithPorts(2, 2)
-	inj := faultinject.New(3, faultinject.Params{
-		Faults:      faultinject.CommitDesync,
-		DesyncAfter: 25,
-	})
+	cfg.MemLatency = 3_000_000
 	_, err = RunProgramWith(context.Background(), w.Program(0.02), cfg,
-		RunOptions{Injector: inj})
+		RunOptions{WatchdogCycles: 2000})
 	if err == nil {
-		t.Fatal("corrupted commit bookkeeping went undetected")
+		t.Fatal("a pipeline that commits nothing went undetected")
 	}
 	se, ok := AsSimError(err)
 	if !ok {
 		t.Fatalf("error %T is not a *SimError: %v", err, err)
 	}
-	if se.Kind != SimPanic {
-		t.Fatalf("kind = %s, want %s", se.Kind, SimPanic)
+	if se.Kind != SimWatchdog {
+		t.Fatalf("kind = %s, want %s", se.Kind, SimWatchdog)
 	}
-	if !strings.Contains(se.Reason, "not its stream's head") {
-		t.Errorf("reason %q does not name the violated stream-head invariant", se.Reason)
+	if !strings.Contains(se.Reason, "no instruction committed for 2000 cycles") {
+		t.Errorf("reason %q does not name the watchdog window", se.Reason)
 	}
 	if se.Snapshot.Cycle == 0 {
 		t.Error("snapshot does not record the failure cycle")
